@@ -25,15 +25,24 @@ race:
 # End-to-end smoke test of the distributed grid: 1 job server + 2 worker
 # processes + `sweep -grid`, asserting byte-identical results vs the
 # local run, cache hits on a rerun, survival of a worker killed
-# mid-study (lease reassignment), the federation chaos leg (a member
-# SIGKILLed mid-ladder; the survivor finishes, the rerun is 100% served
-# from the shared store), and the multi-tenant service leg (an
-# autoscaled server under two tenant identities survives a SIGKILLed
-# peer and SIGKILLed autoscaled workers, enforces the metered tenant's
-# rate limit, and stays byte-identical).
+# mid-study (lease reassignment), the federation chaos leg (the member
+# of a sharded-store federation streaming the ladder SIGKILLed
+# mid-batch; the client fails its unfinished jobs over to the survivor,
+# and the rerun is 100% served from the shared store), and the
+# multi-tenant service leg (an autoscaled server under two tenant
+# identities survives a SIGKILLed peer and SIGKILLed autoscaled
+# workers, enforces the metered tenant's rate limit, and stays
+# byte-identical).
 .PHONY: grid-smoke
 grid-smoke:
 	sh scripts/grid_smoke.sh
+
+# Vet and test the benchmark module (perfbench/, its own Go module that
+# builds against this one): a grid or runner API it still calls that
+# disappears fails here, not at benchmark time.
+.PHONY: perfbench-test
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Coverage gate for the grid subsystem: the distributed fabric (storage,
 # leases, streams, fault recovery, admission control, fair scheduling,

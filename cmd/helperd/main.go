@@ -89,8 +89,8 @@ func usage() {
 	fmt.Fprint(os.Stderr, `usage: helperd <serve|work|submit|metrics|trace|top|federate> [flags]
 
   serve    -addr :8321 [-lease 5s] [-max-attempts 5] [-store-dir dir] [-store-max-bytes 0]
-           [-self URL] [-peers a:8321,b:8321] [-peer-secret s] [-store-remote URL]
-           [-store-shard 2] [-tenants spec] [-default-tenant spec] [-max-queue 0]
+           [-self URL] [-peers a:8321,b:8321] [-peer-secret s] [-store-shard 2]
+           [-tenants spec] [-default-tenant spec] [-max-queue 0]
            [-min-workers 0] [-max-workers 0] [-worker-parallel 0] [-scale-tick 500ms]
            [-log off|error|warn|info|debug] [-trace 4096] [-trace-spill file]
            [-debug-addr ""]
@@ -117,8 +117,8 @@ default). The server also serves a live dashboard on /dashboard.
 // serveCmd runs the grid job server until interrupted. With -peers or
 // -self it becomes a federation member: the Server is wrapped in a
 // grid.Federation that gossips membership and steals work for the local
-// worker pool, and -store-remote points the member's result store at a
-// peer so the whole tier shares one cache.
+// worker pool, and -store-shard spreads the members' result stores into
+// one replicated cache tier.
 func serveCmd(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("helperd serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8321", "listen address")
@@ -126,7 +126,6 @@ func serveCmd(ctx context.Context, args []string) error {
 	maxAttempts := fs.Int("max-attempts", 5, "lease attempts per job before it is failed")
 	storeDir := fs.String("store-dir", "", "directory for the on-disk result store (empty = in-memory; a restart on the same dir keeps the cache)")
 	storeMax := fs.Int64("store-max-bytes", 0, "byte cap for -store-dir, LRU-evicted (0 = unbounded)")
-	storeRemote := fs.String("store-remote", "", "serve results from a peer's store over HTTP (the shared federation cache; mutually exclusive with -store-dir)")
 	storeShard := fs.Int("store-shard", 0, "replication factor for the sharded federation store (0 = off; rendezvous-hashes results over live members, requires -self/-peers)")
 	self := fs.String("self", "", "advertised base URL for federation (default: derived from -addr; set it when peers reach this member on another address)")
 	peers := fs.String("peers", "", "comma-separated peer servers; federates this member with them")
@@ -144,16 +143,8 @@ func serveCmd(ctx context.Context, args []string) error {
 	debugAddr := fs.String("debug-addr", "", "optional listen address for net/http/pprof (off by default)")
 	fs.Parse(args)
 
-	if *storeDir != "" && *storeRemote != "" {
-		return fmt.Errorf("-store-dir and -store-remote are mutually exclusive")
-	}
-	if *storeShard > 0 {
-		if *storeRemote != "" {
-			return fmt.Errorf("-store-shard and -store-remote are mutually exclusive (the shard tier replaces the single-owner remote store)")
-		}
-		if *peers == "" && *self == "" {
-			return fmt.Errorf("-store-shard needs a federation (-peers and/or -self)")
-		}
+	if *storeShard > 0 && *peers == "" && *self == "" {
+		return fmt.Errorf("-store-shard needs a federation (-peers and/or -self)")
 	}
 	logger, err := buildLogger(*logLevel)
 	if err != nil {
@@ -221,12 +212,6 @@ func serveCmd(ctx context.Context, args []string) error {
 		entries, _, _ := st.Stats()
 		fmt.Fprintf(os.Stderr, "helperd: disk store %s: %d results recovered\n", *storeDir, entries)
 		local = st
-	}
-	if *storeRemote != "" {
-		rs := grid.NewRemoteStore(*storeRemote, grid.WithRemoteSecret(*peerSecret))
-		defer rs.Close()
-		fmt.Fprintf(os.Stderr, "helperd: remote store %s\n", rs.Remote())
-		local = rs
 	}
 	var shard *grid.ShardedStore
 	if *storeShard > 0 {
@@ -510,7 +495,7 @@ func submitCmd(ctx context.Context, args []string) error {
 }
 
 // metricsCmd prints the server's counter snapshot as JSON, with a
-// one-line federation digest (steals, affinity, speculation) on stderr
+// one-line federation digest (steals, affinity) on stderr
 // when the member has federated.
 func metricsCmd(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("helperd metrics", flag.ExitOnError)
@@ -527,8 +512,8 @@ func metricsCmd(ctx context.Context, args []string) error {
 		return err
 	}
 	if m.Peers > 0 || m.StealsOut > 0 || m.StealsIn > 0 {
-		fmt.Fprintf(os.Stderr, "helperd: federation: %d peers, %d steals out, %d in, affinity %d/%d, %d speculated\n",
-			m.Peers, m.StealsOut, m.StealsIn, m.AffinityHits, m.AffinityHits+m.AffinityMisses, m.Speculated)
+		fmt.Fprintf(os.Stderr, "helperd: federation: %d peers, %d steals out, %d in, affinity %d/%d\n",
+			m.Peers, m.StealsOut, m.StealsIn, m.AffinityHits, m.AffinityHits+m.AffinityMisses)
 	}
 	for _, t := range m.Tenants {
 		fmt.Fprintf(os.Stderr, "helperd: tenant %-12s weight=%g admitted=%d rejected=%d(rate)+%d(quota) queued=%d running=%d completed=%d failed=%d pending_bytes=%d\n",
@@ -746,8 +731,8 @@ func renderTop(b *strings.Builder, server string, m *grid.Metrics) {
 		m.Workers, m.Peers, m.QueueDepth, m.Leased, m.StoreEntries)
 	fmt.Fprintf(b, "jobs     submitted=%d completed=%d failed=%d cache_hits=%d coalesced=%d\n",
 		m.Submitted, m.Completed, m.Failed, m.CacheHits, m.Coalesced)
-	fmt.Fprintf(b, "leases   granted=%d empty_polls=%d reassigned=%d speculated=%d steals=%d out/%d in\n",
-		m.LeasesGranted, m.LeasePollEmpty, m.Reassigned, m.Speculated, m.StealsOut, m.StealsIn)
+	fmt.Fprintf(b, "leases   granted=%d empty_polls=%d reassigned=%d steals=%d out/%d in\n",
+		m.LeasesGranted, m.LeasePollEmpty, m.Reassigned, m.StealsOut, m.StealsIn)
 	if t := m.Trace; t != nil {
 		fmt.Fprintf(b, "trace    ring %d/%d events (lifetime %d, spill dropped %d)\n",
 			t.Events, t.Capacity, t.Total, t.SpillDropped)

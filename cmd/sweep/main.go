@@ -15,8 +15,8 @@
 //
 //	sweep -study ladder -grid :0             # in-process server + spawned workers
 //	sweep -study ladder -grid host:8321      # an external `helperd serve` cluster
-//	sweep -study ladder -grid a:8321,b:8321  # a federation: jobs partition by
-//	                                         # affinity, submits fail over to peers
+//	sweep -study ladder -grid a:8321,b:8321  # a federation: the batch goes to a,
+//	                                         # fails over to b; members steal work
 package main
 
 import (
@@ -48,7 +48,7 @@ func main() {
 		policyName   = flag.String("policy", "cr", "policy for the configuration ablations (see helpersim -list)")
 		n            = flag.Uint64("n", 120_000, "measured uops per point")
 		workers      = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-		gridAddr     = flag.String("grid", "", "run the study on a simulation grid: a job-server address, a comma-separated list of federation members, or an address ending in :0 to spawn an in-process server plus -grid-workers worker processes")
+		gridAddr     = flag.String("grid", "", "run the study on a simulation grid: a job-server address, a comma-separated list of federation members in failover order, or an address ending in :0 to spawn an in-process server plus -grid-workers worker processes")
 		gridWorkers  = flag.Int("grid-workers", 2, "worker processes to spawn for -grid addresses ending in :0")
 		gridClient   = flag.String("grid-client", "", "tenant identity (X-Grid-Client) grid submissions use; \"\" is the anonymous tenant")
 		gridWorkFor  = flag.String("as-grid-worker", "", "internal: run as a grid worker for the given server URL")
@@ -510,8 +510,8 @@ func setupGrid(ctx context.Context, addr string, nworkers, parallel int) (string
 // reportGrid prints the grid's cache and lease counters after a study,
 // so reruns show their cache hits and kill-a-worker runs their
 // reassignments. On a federation the counters are summed across members
-// and a second line reports the federation's own machinery: steals,
-// affinity placement, and speculative re-leases.
+// and a second line reports the federation's own machinery: steals and
+// affinity placement.
 func reportGrid(runner *repro.Runner) {
 	m, err := runner.GridMetrics(context.Background())
 	if err != nil {
@@ -520,8 +520,8 @@ func reportGrid(runner *repro.Runner) {
 	fmt.Fprintf(os.Stderr, "sweep: grid: %d cache hits, %d misses, %d coalesced, %d reassigned, %d workers\n",
 		m.CacheHits, m.CacheMisses, m.Coalesced, m.Reassigned, m.Workers)
 	if m.Peers > 0 || m.StealsOut > 0 || m.StealsIn > 0 || m.AffinityHits > 0 || m.AffinityMisses > 0 {
-		fmt.Fprintf(os.Stderr, "sweep: federation: %d peers, %d steals out, %d in, affinity %d/%d, %d speculated\n",
-			m.Peers, m.StealsOut, m.StealsIn, m.AffinityHits, m.AffinityHits+m.AffinityMisses, m.Speculated)
+		fmt.Fprintf(os.Stderr, "sweep: federation: %d peers, %d steals out, %d in, affinity %d/%d\n",
+			m.Peers, m.StealsOut, m.StealsIn, m.AffinityHits, m.AffinityHits+m.AffinityMisses)
 	}
 }
 

@@ -1,17 +1,16 @@
-// Federation: two grid servers glued into one tier. Member A owns the
-// result store; member B runs the only workers and reaches A's store
-// over HTTP (grid.RemoteStore — the same seam a shared DiskStore
-// directory plugs into). A Runner pointed at BOTH members partitions
-// jobs across them by affinity (a stable hash of workload + config), so
-// every submission lands somewhere — and the jobs that land on
-// worker-less A are carried to B by work stealing: B's steal loop sees
-// its own queue empty, asks A for surplus, runs the tasks through its
-// local pool, and relays the results back under A's lease discipline.
-// The rerun then hits the shared store no matter which member answers.
-// This is the in-process version of
+// Federation: two grid servers glued into one tier. Both members wrap
+// their result stores in a grid.ShardedStore with replication 2, so
+// every result is banked on both of them; member B runs the only
+// workers. A Runner pointed at BOTH members submits the batch to A (the
+// first listed; B is its failover), and the jobs on worker-less A are
+// carried to B by work stealing: B's steal loop sees its own queue
+// empty, asks A for surplus, runs the tasks through its local pool, and
+// relays the results back under A's lease discipline. The rerun then
+// hits the shared store no matter which member answers. This is the
+// in-process version of
 //
-//	helperd serve -addr :8321 -self 127.0.0.1:8321 -peers 127.0.0.1:8322 -store-dir cache/
-//	helperd serve -addr :8322 -self 127.0.0.1:8322 -peers 127.0.0.1:8321 -store-remote 127.0.0.1:8321
+//	helperd serve -addr :8321 -self 127.0.0.1:8321 -peers 127.0.0.1:8322 -store-shard 2 -store-dir cache/
+//	helperd serve -addr :8322 -self 127.0.0.1:8322 -peers 127.0.0.1:8321 -store-shard 2
 //	helperd work  -server :8322
 //	sweep -study ladder -grid 127.0.0.1:8321,127.0.0.1:8322
 package main
@@ -39,24 +38,31 @@ func main() {
 	urlA := "http://" + lnA.Addr().String()
 	urlB := "http://" + lnB.Addr().String()
 
-	// Member A: owns the shared store (the default in-memory one), runs
-	// no workers. The deferred order matters: each Federation closes
-	// before its HTTP server so in-flight loopback batches can finish.
-	srvA := grid.NewServer()
+	// Member A: one shard of the shared store (over an in-memory local
+	// store), no workers. The deferred order matters: each Federation
+	// closes before its HTTP server so in-flight loopback batches can
+	// finish.
+	shardA := grid.NewShardedStore(grid.NewStore(), urlA, grid.WithShardReplication(2))
+	defer shardA.Close()
+	srvA := grid.NewServer(grid.WithStorage(shardA))
 	defer srvA.Close()
 	fedA := grid.NewFederation(srvA, urlA, []string{urlB},
 		grid.WithStealInterval(50*time.Millisecond))
+	shardA.SetMembership(fedA.Peers)
 	hsA := &http.Server{Handler: fedA}
 	go hsA.Serve(lnA)
 	defer hsA.Close()
 	defer fedA.Close()
 
-	// Member B: its store is A's, over HTTP; its workers are the tier's
-	// only execution capacity.
-	srvB := grid.NewServer(grid.WithStorage(grid.NewRemoteStore(urlA)))
+	// Member B: the other shard; its workers are the tier's only
+	// execution capacity.
+	shardB := grid.NewShardedStore(grid.NewStore(), urlB, grid.WithShardReplication(2))
+	defer shardB.Close()
+	srvB := grid.NewServer(grid.WithStorage(shardB))
 	defer srvB.Close()
 	fedB := grid.NewFederation(srvB, urlB, []string{urlA},
 		grid.WithStealInterval(50*time.Millisecond))
+	shardB.SetMembership(fedB.Peers)
 	hsB := &http.Server{Handler: fedB}
 	go hsB.Serve(lnB)
 	defer hsB.Close()
@@ -72,9 +78,8 @@ func main() {
 		go w.Run(ctx)
 	}
 
-	// The Runner sees the whole federation: jobs partition across both
-	// members by affinity, and a member that stops answering is failed
-	// over to its peers.
+	// The Runner sees the whole federation: the batch goes to A, and if
+	// A stopped answering its unfinished jobs would fail over to B.
 	runner := repro.NewRunner(repro.WithGrid(urlA + "," + urlB))
 
 	const uops = 40_000
@@ -90,7 +95,7 @@ func main() {
 		)
 	}
 
-	fmt.Printf("federation: %s (store, no workers) + %s (2 workers), %d jobs\n\n", urlA, urlB, len(jobs))
+	fmt.Printf("federation: %s (no workers) + %s (2 workers), %d jobs\n\n", urlA, urlB, len(jobs))
 	results, err := runner.RunAll(ctx, jobs)
 	if err != nil {
 		panic(err)
@@ -106,7 +111,7 @@ func main() {
 		ma.StealsOut, mb.StealsIn)
 
 	// Round two: the shared store answers for both members, so it does
-	// not matter where the affinity partitioner sends each job.
+	// not matter which member the batch lands on.
 	again, err := runner.RunAll(ctx, jobs)
 	if err != nil {
 		panic(err)

@@ -453,13 +453,14 @@ func TestGoldenResultsDiskRestart(t *testing.T) {
 }
 
 // TestGoldenResultsFederation is the federated golden gate of ROADMAP
-// item 1: two federated servers — A hosting the shared store tier
-// (disk-backed), B built on a RemoteStore pointing at A — where every
-// worker hangs off B, so a batch submitted to A can only finish via
-// work stealing. The results must stay byte-identical to the committed
-// local goldens. Then B (workers and all) is torn down and the batch is
-// resubmitted to A, which has ZERO workers: a pass proves the rerun is
-// 100% served from the shared storage tier.
+// item 1: two federated servers sharing one cache tier — each wraps its
+// store (A's disk-backed, B's in memory) in a ShardedStore with
+// replication 2 — where every worker hangs off B, so a batch submitted
+// to A can only finish via work stealing. The results must stay
+// byte-identical to the committed local goldens. Then B (workers and
+// all) is torn down and the batch is resubmitted to A, which has ZERO
+// workers: a pass proves the rerun is 100% served from the shared
+// storage tier.
 func TestGoldenResultsFederation(t *testing.T) {
 	if *update {
 		t.Skip("goldens regenerate via TestGoldenResults -update")
@@ -479,8 +480,8 @@ func TestGoldenResultsFederation(t *testing.T) {
 		return json.Marshal(res)
 	}
 
-	// Reserve both members' addresses first: peer seeds, the RemoteStore
-	// target and each Federation's self URL all need them before
+	// Reserve both members' addresses first: peer seeds, the shard
+	// owners and each Federation's self URL all need them before
 	// anything serves.
 	listen := func() (net.Listener, string) {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -499,16 +500,19 @@ func TestGoldenResultsFederation(t *testing.T) {
 		return ts
 	}
 
-	// Member A: the shared store host. Stays up the whole test.
+	// Member A: its shard sits on disk. Stays up the whole test.
 	stA, err := grid.OpenDiskStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stA.Close()
-	srvA := grid.NewServer(grid.WithLeaseTTL(5*time.Second), grid.WithStorage(stA))
+	shardA := grid.NewShardedStore(stA, urlA, grid.WithShardReplication(2))
+	defer shardA.Close()
+	srvA := grid.NewServer(grid.WithLeaseTTL(5*time.Second), grid.WithStorage(shardA))
 	fedA := grid.NewFederation(srvA, urlA, []string{urlB},
 		grid.WithAnnounceInterval(100*time.Millisecond),
 		grid.WithStealInterval(50*time.Millisecond))
+	shardA.SetMembership(fedA.Peers)
 	tsA := serve(lA, fedA)
 	defer func() {
 		fedA.Close()
@@ -516,12 +520,15 @@ func TestGoldenResultsFederation(t *testing.T) {
 		srvA.Close()
 	}()
 
-	// Member B: banks results through A's store, holds all the workers.
+	// Member B: replicates its results to A, holds all the workers.
+	shardB := grid.NewShardedStore(grid.NewStore(), urlB, grid.WithShardReplication(2))
+	defer shardB.Close()
 	srvB := grid.NewServer(grid.WithLeaseTTL(5*time.Second),
-		grid.WithStorage(grid.NewRemoteStore(urlA)))
+		grid.WithStorage(shardB))
 	fedB := grid.NewFederation(srvB, urlB, []string{urlA},
 		grid.WithAnnounceInterval(100*time.Millisecond),
 		grid.WithStealInterval(50*time.Millisecond))
+	shardB.SetMembership(fedB.Peers)
 	tsB := serve(lB, fedB)
 	wctx, wcancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup

@@ -20,13 +20,13 @@ func TestPeerAuthVerify(t *testing.T) {
 	sig := signPeerAuth(secret, http.MethodPost, pathPeerAnnounce, body, now)
 
 	cases := []struct {
-		name               string
-		secret, hdr        string
-		method, path       string
-		body               []byte
-		at                 time.Time
-		wantErr            error
-		wantOK             bool
+		name         string
+		secret, hdr  string
+		method, path string
+		body         []byte
+		at           time.Time
+		wantErr      error
+		wantOK       bool
 	}{
 		{"roundtrip", secret, sig, http.MethodPost, pathPeerAnnounce, body, now, nil, true},
 		{"skewed within window", secret, sig, http.MethodPost, pathPeerAnnounce, body, now.Add(peerAuthSkew / 2), nil, true},
@@ -71,7 +71,6 @@ func TestPeerAuthHTTPRejects(t *testing.T) {
 		{http.MethodPost, pathPeerRelease, `{"peer":"http://intruder","id":"t1","attempt":1}`},
 		{http.MethodGet, pathStoreGet + "?hash=sha256:00", ""},
 		{http.MethodPost, pathStorePut + "?hash=sha256:00", "payload"},
-		{http.MethodGet, pathStoreStat, ""},
 	}
 	for i, p := range protected {
 		req, err := http.NewRequest(p.method, url+p.path, bytes.NewReader([]byte(p.body)))
@@ -92,7 +91,7 @@ func TestPeerAuthHTTPRejects(t *testing.T) {
 	}
 
 	// A MAC minted for one path must not open another, even fresh.
-	lifted := signPeerAuth(secret, http.MethodGet, pathStoreStat, nil, time.Now())
+	lifted := signPeerAuth(secret, http.MethodGet, pathStoreGet, nil, time.Now())
 	req, _ := http.NewRequest(http.MethodGet, url+pathPeerStatus, nil)
 	req.Header.Set(PeerAuthHeader, lifted)
 	resp, err := http.DefaultClient.Do(req)

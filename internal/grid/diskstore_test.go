@@ -3,7 +3,6 @@ package grid
 import (
 	"bytes"
 	"fmt"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -35,24 +34,12 @@ func openDisk(t *testing.T, opts ...DiskOption) *DiskStore {
 	return d
 }
 
-// openRemote backs a RemoteStore with a fresh grid server (the peer
-// whose store the remote client reads and banks into).
-func openRemote(t *testing.T) *RemoteStore {
-	t.Helper()
-	srv := NewServer()
-	t.Cleanup(srv.Close)
-	hs := httptest.NewServer(srv)
-	t.Cleanup(hs.Close)
-	return NewRemoteStore(hs.URL)
-}
-
 // TestStorageContract pins the Storage semantics every implementation
 // shares: first write wins, empty-hash no-op, one hit or miss per Get.
 func TestStorageContract(t *testing.T) {
 	for name, st := range map[string]Storage{
 		"memory":  NewStore(),
 		"disk":    openDisk(t),
-		"remote":  openRemote(t),
 		"sharded": NewShardedStore(NewStore(), "http://self:1"), // membership-less: local-only degradation
 	} {
 		t.Run(name, func(t *testing.T) {

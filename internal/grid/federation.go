@@ -44,10 +44,11 @@ import (
 // gossip and never merge.
 //
 // The shared cache tier is the Storage seam, not the Federation: build
-// every member's Server on one DiskStore directory, or on a RemoteStore
-// pointing at one member, and a result banked anywhere is a cache hit
-// everywhere — including for stolen tasks, whose results are banked on
-// both the thief (local run) and the victim (completion relay).
+// every member's Server on a ShardedStore (wired to Peers through
+// SetMembership), or on one shared DiskStore directory, and a result
+// banked anywhere is a cache hit everywhere — including for stolen
+// tasks, whose results are banked on both the thief (local run) and the
+// victim (completion relay).
 //
 // A Federation is an http.Handler: serve it instead of the Server (it
 // delegates every non-peer path).
@@ -333,7 +334,7 @@ func (f *Federation) runStolen(victim string, t Task, ttl time.Duration) {
 
 	// Heartbeat the victim's lease while the local run is in flight. A
 	// cancelled verdict aborts the local run; stale verdicts are ignored
-	// (the victim may have speculated the straggler — our eventual
+	// (the victim may have reassigned the expired lease — our eventual
 	// success is still banked and still wins if first).
 	hbDone := make(chan struct{})
 	f.wg.Add(1)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"net/http/httptest"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -57,10 +56,11 @@ func startFedMember(t *testing.T, srv *Server, l net.Listener, self string, peer
 	return &fedMember{srv: srv, fed: fed, url: self}
 }
 
-// testFederation spins up n federated members sharing one in-memory
-// store exposed by member 0 (members 1..n-1 use RemoteStores pointing
-// at it), each seeded with every other member as a peer. Steal and
-// announce intervals are short so tests converge fast.
+// testFederation spins up n federated members sharing one cache tier
+// (every member's in-memory store wrapped in a ShardedStore with
+// replication 2 over the live membership), each seeded with every
+// other member as a peer. Steal and announce intervals are short so
+// tests converge fast.
 func testFederation(t *testing.T, n int, srvOpts ...ServerOption) []*fedMember {
 	t.Helper()
 	listeners := make([]net.Listener, n)
@@ -70,10 +70,9 @@ func testFederation(t *testing.T, n int, srvOpts ...ServerOption) []*fedMember {
 	}
 	members := make([]*fedMember, n)
 	for i := range members {
-		opts := append([]ServerOption{WithLeaseTTL(200 * time.Millisecond)}, srvOpts...)
-		if i > 0 {
-			opts = append(opts, WithStorage(NewRemoteStore(urls[0])))
-		}
+		shard := NewShardedStore(NewStore(), urls[i], WithShardReplication(2))
+		t.Cleanup(shard.Close)
+		opts := append([]ServerOption{WithLeaseTTL(200 * time.Millisecond), WithStorage(shard)}, srvOpts...)
 		var peers []string
 		for j, u := range urls {
 			if j != i {
@@ -81,6 +80,7 @@ func testFederation(t *testing.T, n int, srvOpts ...ServerOption) []*fedMember {
 			}
 		}
 		members[i] = startFedMember(t, NewServer(opts...), listeners[i], urls[i], peers)
+		shard.SetMembership(members[i].fed.Peers)
 	}
 	return members
 }
@@ -287,25 +287,41 @@ func TestFederationStealRace(t *testing.T) {
 	}
 }
 
-// TestRemoteStoreDegradesToMiss pins the failure policy: a RemoteStore
-// whose peer is gone misses on Get, drops Put, and reports 0 entries —
+// TestShardedStoreDegradesToMiss pins the remote-failure policy: a
+// ShardedStore whose only other owner is gone misses on Get within the
+// store client's deadline, sheds the replica Put without blocking
+// (counted in DroppedPuts), and keeps exactly-one-miss accounting —
 // never an error, never a hang.
-func TestRemoteStoreDegradesToMiss(t *testing.T) {
+func TestShardedStoreDegradesToMiss(t *testing.T) {
 	srv := NewServer()
 	ts := httptest.NewServer(srv)
-	url := ts.URL
+	dead := ts.URL
 	ts.Close() // peer is gone
 	srv.Close()
-	rs := NewRemoteStore(url)
-	if _, ok := rs.Get("sha256:00"); ok {
+	s := NewShardedStore(NewStore(), "http://self:1", WithShardReplication(2))
+	defer s.Close()
+	s.SetMembership(func() []string { return []string{dead} })
+
+	start := time.Now()
+	if _, ok := s.Get("sha256:00"); ok {
 		t.Fatal("dead peer produced a hit")
 	}
-	rs.Put("sha256:00", []byte("x"))
-	entries, hits, misses := rs.Stats()
-	if entries != 0 || hits != 0 || misses != 1 {
-		t.Errorf("stats = %d/%d/%d, want 0 entries, 0 hits, 1 miss", entries, hits, misses)
+	if d := time.Since(start); d >= storeGetTimeout {
+		t.Errorf("Get against a dead owner took %v, want under the %v deadline", d, storeGetTimeout)
 	}
-	if !strings.HasPrefix(rs.Remote(), "http://") {
-		t.Errorf("Remote() = %q", rs.Remote())
+	start = time.Now()
+	s.Put("sha256:00", []byte("x"))
+	if d := time.Since(start); d >= storeGetTimeout {
+		t.Errorf("Put blocked for %v on a dead owner", d)
+	}
+	if !s.Flush(10 * time.Second) {
+		t.Fatal("replica put to the dead owner never settled")
+	}
+	if n := s.DroppedPuts(); n != 1 {
+		t.Errorf("DroppedPuts = %d, want 1", n)
+	}
+	entries, hits, misses := s.Stats()
+	if entries != 1 || hits != 0 || misses != 1 {
+		t.Errorf("stats = %d/%d/%d, want 1 local entry, 0 hits, 1 miss", entries, hits, misses)
 	}
 }

@@ -152,12 +152,11 @@ const (
 	// ?format=prom on /metrics).
 	pathMetricsProm = "/metrics/prom"
 	pathHealthz     = "/healthz"
-	// The shared cache tier: a server exposes its Storage over HTTP so a
-	// RemoteStore on a peer can use it as its own store (the federation's
-	// single source of cached results).
-	pathStoreGet  = "/v1/store/get"
-	pathStorePut  = "/v1/store/put"
-	pathStoreStat = "/v1/store/stat"
+	// The shared cache tier: a server exposes its local Storage over
+	// HTTP so the ShardedStores of its peers can read and replicate the
+	// hashes it owns.
+	pathStoreGet = "/v1/store/get"
+	pathStorePut = "/v1/store/put"
 	// The peer protocol (see Federation): membership announcements,
 	// status snapshots for steal decisions, and work stealing itself.
 	pathPeerAnnounce = "/v1/peer/announce"
@@ -224,15 +223,15 @@ type releaseResponse struct {
 // /v1/peer/status and consumed by peers deciding where to steal from
 // (and by `helperd federate` for operators).
 type PeerStatus struct {
-	Self         string   `json:"self,omitempty"`
-	QueueDepth   int      `json:"queue_depth"`
-	Stealable    int      `json:"stealable"`
-	Leased       int      `json:"leased"`
-	Workers      int      `json:"workers"`
-	FreeCapacity int      `json:"free_capacity"`
-	StoreEntries int      `json:"store_entries"`
-	StealsOut    uint64   `json:"steals_out"`
-	StealsIn     uint64   `json:"steals_in"`
+	Self         string `json:"self,omitempty"`
+	QueueDepth   int    `json:"queue_depth"`
+	Stealable    int    `json:"stealable"`
+	Leased       int    `json:"leased"`
+	Workers      int    `json:"workers"`
+	FreeCapacity int    `json:"free_capacity"`
+	StoreEntries int    `json:"store_entries"`
+	StealsOut    uint64 `json:"steals_out"`
+	StealsIn     uint64 `json:"steals_in"`
 	// WorstEtaMS is the largest projected time-to-finish, in
 	// milliseconds, over this server's connected batches that still have
 	// queued work — the published BatchETA of the batch that will finish

@@ -83,7 +83,6 @@ func (s *Server) servePromMetrics(w http.ResponseWriter) {
 	counter("grid_steals_in_total", "Tasks stolen from federation peers.", m.StealsIn)
 	counter("grid_steal_returns_total", "Stolen leases handed back after a failed thief handoff.", m.StealReturns)
 	counter("grid_peer_auth_rejected_total", "Peer-seam requests refused for a missing or invalid HMAC.", m.PeerAuthRejected)
-	counter("grid_speculated_total", "Straggler re-leases.", m.Speculated)
 	gauge("grid_queue_depth", "Queued tasks.", int64(m.QueueDepth))
 	gauge("grid_leased", "Leased tasks.", int64(m.Leased))
 	gauge("grid_workers", "Live simulation workers.", int64(m.Workers))

@@ -44,18 +44,12 @@ type task struct {
 	attempts int
 	// leasedAt is when the current lease was granted, firstLeased when
 	// the very first one was (the base of the completed-duration EWMA
-	// that calibrates ETAs and straggler detection), firstProgress when
+	// that calibrates ETAs), firstProgress when
 	// the first interval snapshot arrived (the lease-to-first-progress
 	// stage latency).
 	leasedAt      time.Time
 	firstLeased   time.Time
 	firstProgress time.Time
-	// speculated marks a straggler that was re-leased to the fleet while
-	// its original attempt (prevWorker) keeps running — first completion
-	// wins, and prevWorker's heartbeats are tolerated instead of being
-	// told the task is stale. At most one speculation per task.
-	speculated bool
-	prevWorker string
 	// cancelled marks a task every subscriber walked away from; it is
 	// skipped at grant time and reported to its worker if already leased.
 	// A new submission of the same hash revives it.
@@ -258,7 +252,7 @@ func (q *fairQueue) head() *tenantLane {
 // Pop removes and returns the next task in grant order, nil on empty.
 // Popping does NOT charge the tenant's pass — callers that actually
 // grant the task call Charge, so a pop that is discarded (cancelled
-// task) or pushed back (hop-bounded steal, speculation set-aside) costs
+// task) or pushed back (hop-bounded steal) costs
 // the tenant nothing.
 func (q *fairQueue) Pop() *task {
 	lane := q.head()

@@ -1,62 +1,15 @@
 package grid
 
-// Scheduler-policy tests: profile affinity at grant time, per-batch ETA
-// estimates, and straggler speculation. These drive the worker protocol
-// by hand (leaseRaw/completeRaw/heartbeatRaw) so grant decisions are
-// observable one step at a time.
+// Scheduler-policy tests: profile affinity at grant time and per-batch
+// ETA estimates. These drive the worker protocol by hand
+// (leaseRaw/completeRaw) so grant decisions are observable one step at
+// a time.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"net/http"
-	"sync/atomic"
 	"testing"
 	"time"
 )
-
-// heartbeatRaw posts one heartbeat on behalf of a named worker.
-func heartbeatRaw(t *testing.T, url string, req heartbeatRequest) heartbeatResponse {
-	t.Helper()
-	hr, err := postHeartbeat(url, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return hr
-}
-
-// postHeartbeat is the t-less body of heartbeatRaw, callable from helper
-// goroutines (which must not t.Fatal).
-func postHeartbeat(url string, req heartbeatRequest) (heartbeatResponse, error) {
-	var hr heartbeatResponse
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(url+pathHeartbeat, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return hr, err
-	}
-	defer resp.Body.Close()
-	err = json.NewDecoder(resp.Body).Decode(&hr)
-	return hr, err
-}
-
-// leaseRawLoad is leaseRaw with an explicit load report and wait: a
-// zero-wait, fully-loaded poll registers a worker as live without
-// granting it anything and without leaving a long-poll open.
-func leaseRawLoad(t *testing.T, url, worker string, capacity, inFlight, waitMS int) leaseResponse {
-	t.Helper()
-	body, _ := json.Marshal(leaseRequest{
-		Worker: worker, Capacity: capacity, InFlight: inFlight, WaitMS: waitMS})
-	resp, err := http.Post(url+pathLease, "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var lr leaseResponse
-	if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
-		t.Fatal(err)
-	}
-	return lr
-}
 
 // profTask builds a payload-distinct task carrying a locality profile.
 func profTask(id, profile string) Task {
@@ -170,146 +123,5 @@ func TestBatchETAQueued(t *testing.T) {
 	// through.
 	if b.EtaMS <= 0 {
 		t.Errorf("batch ETA = %dms, want > 0", b.EtaMS)
-	}
-}
-
-// TestSpeculation drives a straggler end to end: a two-slot worker
-// takes two tasks and finishes one fast (calibrating the EWMA), then
-// sits on the other while heartbeating. The reaper must re-queue the
-// straggler speculatively, refuse to hand it back to the worker already
-// running it, and grant it to a second worker — whose completion is
-// delivered exactly once while the original's heartbeats stay
-// tolerated, never declared stale.
-func TestSpeculation(t *testing.T) {
-	srv, ts := testGrid(t)
-	c := &Client{Server: ts.URL}
-	tasks := []Task{mkTask("fast", "quick"), mkTask("slow", "straggler")}
-	ch, err := c.Submit(context.Background(), tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	lr := leaseRaw(t, ts.URL, "spec-w1", 2)
-	if len(lr.Tasks) != 2 {
-		t.Fatalf("leased %d tasks, want 2", len(lr.Tasks))
-	}
-	var fast, slow Task
-	for _, tk := range lr.Tasks {
-		if tk.Hash == tasks[0].Hash {
-			fast = tk
-		} else {
-			slow = tk
-		}
-	}
-	completeTask(t, ts.URL, "spec-w1", fast)
-
-	// The straggler's worker stays alive at load 1/2, reporting interval
-	// progress on every beat. Any Stale verdict for the straggler before
-	// we stop beating is a bug — the original attempt must be tolerated,
-	// not evicted.
-	var staleSeen atomic.Int64
-	hbStop := make(chan struct{})
-	hbDone := make(chan struct{})
-	go func() {
-		defer close(hbDone)
-		tick := time.NewTicker(25 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-hbStop:
-				return
-			case <-tick.C:
-				hr, err := postHeartbeat(ts.URL, heartbeatRequest{
-					Worker: "spec-w1", Tasks: []string{slow.ID}, InFlight: 1,
-					Progress: []TaskProgress{{ID: slow.ID, Uops: 10, Total: 100}}})
-				if err == nil && len(hr.Stale) > 0 {
-					staleSeen.Add(1)
-				}
-			}
-		}
-	}()
-	hbStopped := false
-	stopHB := func() {
-		if hbStopped {
-			return
-		}
-		hbStopped = true
-		close(hbStop)
-		<-hbDone
-	}
-	defer stopHB()
-
-	// With spec-w1 the only live worker, the straggler must NOT be
-	// speculated no matter how long it runs: the copy is never granted
-	// back to its own worker, so it could only starve in the queue —
-	// and mute the original's progress relay while it did.
-	time.Sleep(400 * time.Millisecond)
-	if n := srv.Metrics().Speculated; n != 0 {
-		t.Fatalf("speculated %d tasks with no second worker", n)
-	}
-
-	// Register an idle second worker WITHOUT leaving a poll open: a
-	// zero-wait fully-loaded lease makes it known, a heartbeat then
-	// reports the slot free. Speculation now has somewhere to run.
-	if lr := leaseRawLoad(t, ts.URL, "spec-w2", 1, 1, 0); len(lr.Tasks) != 0 {
-		t.Fatalf("loaded registration lease granted tasks: %+v", lr.Tasks)
-	}
-	heartbeatRaw(t, ts.URL, heartbeatRequest{Worker: "spec-w2"})
-
-	deadline := time.Now().Add(10 * time.Second)
-	for srv.Metrics().Speculated == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("straggler never speculated")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	// The original attempt is still the only execution alive; its
-	// progress (riding the tolerated heartbeats) must keep flowing to
-	// the server while the copy waits in the queue.
-	p0 := srv.Metrics().ProgressUpdates
-	time.Sleep(120 * time.Millisecond)
-	if p1 := srv.Metrics().ProgressUpdates; p1 <= p0 {
-		t.Errorf("progress relay went quiet during speculation (%d -> %d)", p0, p1)
-	}
-
-	// The speculated copy must NOT come back to spec-w1 (it is still
-	// running the original); its lease poll has to come up empty.
-	if again := leaseRaw(t, ts.URL, "spec-w1", 2); len(again.Tasks) != 0 {
-		t.Fatalf("speculated straggler re-granted to its own worker: %+v", again.Tasks)
-	}
-
-	// The idle second worker gets the copy at the next attempt number.
-	var stolen leaseResponse
-	for time.Now().Before(deadline) {
-		if stolen = leaseRaw(t, ts.URL, "spec-w2", 1); len(stolen.Tasks) == 1 {
-			break
-		}
-	}
-	if len(stolen.Tasks) != 1 || stolen.Tasks[0].Hash != slow.Hash {
-		t.Fatalf("second worker lease = %+v, want the straggler", stolen.Tasks)
-	}
-	if stolen.Tasks[0].Attempt != slow.Attempt+1 {
-		t.Errorf("speculated attempt = %d, want %d", stolen.Tasks[0].Attempt, slow.Attempt+1)
-	}
-
-	// Stop the original's heartbeats BEFORE completing: after delivery
-	// the task is forgotten and a late beat would legitimately read
-	// stale.
-	stopHB()
-	if n := staleSeen.Load(); n != 0 {
-		t.Errorf("original worker's heartbeats declared stale %d times during speculation", n)
-	}
-
-	completeTask(t, ts.URL, "spec-w2", stolen.Tasks[0])
-	got := collectResults(t, ch)
-	if len(got) != 2 {
-		t.Fatalf("got %d results, want 2", len(got))
-	}
-	if tr := got["slow"]; tr.Err != "" || !bytes.Equal(tr.Payload, tasks[1].Payload) {
-		t.Fatalf("straggler result drifted: err=%q payload=%s", tr.Err, tr.Payload)
-	}
-	if m := srv.Metrics(); m.Speculated == 0 {
-		t.Errorf("metrics lost the speculation count: %+v", m)
 	}
 }

@@ -70,10 +70,6 @@ type Metrics struct {
 	// profile (its caches are warm), a miss is any other profiled grant.
 	AffinityHits   uint64 `json:"affinity_hits"`
 	AffinityMisses uint64 `json:"affinity_misses"`
-	// Speculated counts straggler re-leases: a leased task projected to
-	// run far past the fleet's typical duration was additionally queued
-	// for an idle worker, first completion winning.
-	Speculated uint64 `json:"speculated"`
 	// Admission control: Rejected counts whole-batch 429 refusals
 	// (per-tenant rate limits and pending-work quotas, summed over
 	// tenants — the per-reason split is in Tenants), Overloaded counts
@@ -176,10 +172,9 @@ func WithMaxAttempts(n int) ServerOption {
 // WithStorage plugs a result store into the server: the in-memory
 // default forgets on restart, an OpenDiskStore-backed one makes the
 // cache durable (restart the server on the same directory and every
-// already-simulated point is a hit), and a RemoteStore makes this
-// server a client of a peer's cache tier (the federation's shared
-// store). The server does not close the store; the caller owns its
-// lifecycle.
+// already-simulated point is a hit), and a ShardedStore spreads the
+// cache over the federation (the shared store tier). The server does
+// not close the store; the caller owns its lifecycle.
 func WithStorage(st Storage) ServerOption {
 	return func(s *Server) {
 		if st != nil {
@@ -224,17 +219,6 @@ func WithTraceSpill(w io.Writer) ServerOption {
 	return func(s *Server) { s.traceSpill = w }
 }
 
-// WithSpeculation toggles straggler re-leasing (default on): when the
-// queue is empty, workers sit idle and a leased task is projected — from
-// its own progress snapshots against the fleet's EWMA task duration —
-// to run far past typical, the task is additionally re-queued so a fast
-// worker can race it. First completion wins; the slow attempt's late
-// answer is banked as usual. Deterministic payloads make the duplicate
-// execution byte-identical, so speculation is invisible to clients.
-func WithSpeculation(on bool) ServerOption {
-	return func(s *Server) { s.speculation = on }
-}
-
 // WithPeerSecret arms shared-secret authentication on the peer seam:
 // every request to the peer protocol (announce/status/steal/release)
 // and the /v1/store endpoints must carry a valid X-Grid-Peer-Auth HMAC
@@ -255,7 +239,6 @@ type Server struct {
 	leaseTTL    time.Duration
 	maxAttempts int
 	maxHops     int
-	speculation bool
 	maxQueue    int
 	log         *slog.Logger
 	traceCap    int
@@ -290,7 +273,7 @@ type Server struct {
 	batchSeq uint64
 	// avgTaskDur is an EWMA of completed task wall durations (first
 	// lease to completion), the fleet-typical time that calibrates batch
-	// ETAs and straggler detection. Zero until the first completion.
+	// ETAs and Retry-After hints. Zero until the first completion.
 	avgTaskDur time.Duration
 
 	submitted, coalesced      uint64
@@ -303,7 +286,6 @@ type Server struct {
 	stealReturns              uint64
 	affinityHits              uint64
 	affinityMisses            uint64
-	speculatedCount           uint64
 	overloaded                uint64
 	// Lease-wait histogram: time from (re)enqueue to grant, in the
 	// latencyBucketsMS buckets plus +Inf, with sum/count/max for the
@@ -384,7 +366,6 @@ func NewServer(opts ...ServerOption) *Server {
 		leaseTTL:     5 * time.Second,
 		maxAttempts:  5,
 		maxHops:      2,
-		speculation:  true,
 		store:        NewStore(),
 		byID:         map[string]*task{},
 		byHash:       map[string]*task{},
@@ -512,7 +493,6 @@ func (s *Server) metricsLocked() Metrics {
 		StealsIn:        s.stealsIn,
 		AffinityHits:    s.affinityHits,
 		AffinityMisses:  s.affinityMisses,
-		Speculated:      s.speculatedCount,
 		Overloaded:      s.overloaded,
 		Peers:           s.peerCount,
 		StoreEntries:    entries,
@@ -705,20 +685,6 @@ func (s *Server) freeCapacityLocked() int {
 	return free
 }
 
-// freeCapacityElsewhereLocked reports whether a live worker other than
-// name has a free slot — speculation's precondition: the copy is never
-// granted back to the original worker, so a second worker must exist
-// to race it.
-func (s *Server) freeCapacityElsewhereLocked(name string) bool {
-	cutoff := time.Now().Add(-3 * s.leaseTTL)
-	for n, w := range s.workers {
-		if n != name && w.lastSeen.After(cutoff) && w.capacity > w.inFlight {
-			return true
-		}
-	}
-	return false
-}
-
 // SetAutoscaleStats publishes the attached Autoscaler's latest
 // self-report into /metrics. Pushed by the autoscaler tick (rather than
 // pulled by metrics) so the server lock and the autoscaler lock never
@@ -834,12 +800,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.handleStorePut(w, r)
-	case pathStoreStat:
-		if !s.requirePeerAuth(w, r) {
-			return
-		}
-		entries, hits, misses := s.peerStore().Stats()
-		writeJSON(w, storeStat{Entries: entries, Hits: hits, Misses: misses})
 	case pathMetrics:
 		if wantsProm(r) {
 			s.servePromMetrics(w)
@@ -927,13 +887,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, traceResponse{Traces: s.tracer.Recent(limit)})
 }
 
-// storeStat is the /v1/store/stat wire shape, mirroring Storage.Stats.
-type storeStat struct {
-	Entries int    `json:"entries"`
-	Hits    uint64 `json:"hits"`
-	Misses  uint64 `json:"misses"`
-}
-
 // peerStore is the Storage the /v1/store endpoints expose: this
 // member's LOCAL tier only. When the server's store is a ShardedStore,
 // answering a peer's lookup through the sharded Get would fan the
@@ -952,8 +905,8 @@ func (s *Server) peerStore() Storage {
 // handleStoreGet serves one stored payload raw: 200 with the bytes on a
 // hit, 404 on a miss. Together with handleStorePut it turns this
 // server's Storage into the federation's shared cache tier — a peer
-// built with a RemoteStore pointing here reads and banks results in the
-// same store this server answers cache hits from.
+// whose ShardedStore names this server an owner reads and banks results
+// in the same store this server answers cache hits from.
 func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 	hash := r.URL.Query().Get("hash")
 	if hash == "" {
@@ -1402,7 +1355,6 @@ func (s *Server) grantLocked(req leaseRequest) []Task {
 	k := capacity - req.InFlight
 	ws := s.workers[req.Worker]
 	var out []Task
-	var setAside []*task
 	now := time.Now()
 	for len(out) < k && s.queue.Len() > 0 {
 		t := s.queue.Pop()
@@ -1411,15 +1363,8 @@ func (s *Server) grantLocked(req leaseRequest) []Task {
 			delete(s.byHash, t.hash)
 			continue
 		}
-		// Never hand a speculated straggler back to the worker already
-		// running its original attempt: that worker would drop the
-		// duplicate grant and nobody would race the slow copy.
-		if t.speculated && t.prevWorker == req.Worker {
-			setAside = append(setAside, t)
-			continue
-		}
 		if ws != nil && t.profile != "" && !ws.sawProfile(t.profile) {
-			if alt := s.affineAltLocked(ws, t, req.Worker); alt != nil {
+			if alt := s.affineAltLocked(ws, t); alt != nil {
 				s.queue.Push(t)
 				t = alt
 			}
@@ -1435,7 +1380,7 @@ func (s *Server) grantLocked(req leaseRequest) []Task {
 			}
 		}
 		// The grant is real: charge the tenant's fair share and record
-		// the queue wait. Discarded and set-aside pops above cost nothing.
+		// the queue wait. Discarded pops above cost nothing.
 		s.queue.Charge(t)
 		if !t.enqueuedAt.IsZero() {
 			s.recordLeaseWaitLocked(now.Sub(t.enqueuedAt))
@@ -1453,25 +1398,19 @@ func (s *Server) grantLocked(req leaseRequest) []Task {
 		out = append(out, Task{ID: t.id, Hash: t.hash, Priority: t.priority,
 			Payload: t.payload, Attempt: t.attempts, Profile: t.profile, Hops: t.hops})
 	}
-	for _, t := range setAside {
-		s.queue.Push(t)
-	}
 	return out
 }
 
 // affineAltLocked finds the earliest queued task of t's priority whose
 // profile the worker recently ran and removes it from the queue (the
 // caller grants it in t's place). Nil when no affine candidate exists.
-func (s *Server) affineAltLocked(ws *workerState, t *task, worker string) *task {
+func (s *Server) affineAltLocked(ws *workerState, t *task) *task {
 	var best *task
 	s.queue.each(func(c *task) {
 		if c.priority != t.priority || c.profile == "" || !ws.sawProfile(c.profile) {
 			return
 		}
 		if c.cancelled && len(c.subs) == 0 {
-			return
-		}
-		if c.speculated && c.prevWorker == worker {
 			return
 		}
 		if best == nil || c.seq < best.seq {
@@ -1603,19 +1542,11 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	s.touchWorkerLocked(req.Worker, 0, req.InFlight)
 	for _, id := range req.Tasks {
 		t, ok := s.byID[id]
-		tolerated := ok && t.speculated && t.prevWorker == req.Worker && t.worker != req.Worker
 		switch {
-		case !ok || (t.worker != req.Worker && !tolerated):
+		case !ok || t.worker != req.Worker:
 			resp.Stale = append(resp.Stale, id)
 		case t.cancelled:
-			// Cancellation outranks the speculation tolerance below: an
-			// early-stopped straggler's original attempt must abort like
-			// any other holder instead of burning CPU to the end.
 			resp.Cancelled = append(resp.Cancelled, id)
-		case tolerated:
-			// The original attempt of a speculated straggler: neither
-			// stale nor the lease holder. Let it keep running — first
-			// completion wins — without renewing the current lease.
 		default:
 			t.deadline = now.Add(s.leaseTTL)
 		}
@@ -1628,14 +1559,10 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			continue
 		}
-		// Accept progress from the current lease holder — a reassigned
-		// task's zombie must not overwrite the live worker's numbers —
-		// or, while a speculated straggler's copy is still queued, from
-		// the original attempt: it is the only execution alive, and
-		// muting it would blind progress subscribers (and their
-		// early-stop hooks) for the whole speculation window.
-		if t.worker != req.Worker &&
-			!(t.speculated && t.worker == "" && t.prevWorker == req.Worker) {
+		// Accept progress only from the current lease holder: a
+		// reassigned task's zombie must not overwrite the live worker's
+		// numbers.
+		if t.worker != req.Worker {
 			continue
 		}
 		p.Hash = t.hash
@@ -1793,7 +1720,7 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		// are never reused, so a task known here was known then).
 		s.completed++
 		// Fold the wall duration (first lease to completion) into the
-		// fleet EWMA that calibrates batch ETAs and straggler detection.
+		// fleet EWMA that calibrates batch ETAs.
 		if !t.firstLeased.IsZero() {
 			if dur := now.Sub(t.firstLeased); dur > 0 {
 				if s.avgTaskDur == 0 {
@@ -1891,50 +1818,6 @@ func (s *Server) expireLeases() {
 			Task: t.id, Detail: "reassigned"})
 		s.queue.Push(t)
 		requeued = true
-	}
-	// Straggler speculation: with an empty queue, idle capacity on some
-	// OTHER worker and a calibrated fleet EWMA, re-queue a leased task
-	// projected to run far past typical so an idle worker can race the
-	// slow attempt. The original keeps running — its heartbeats are
-	// tolerated through prevWorker — and the first completion wins;
-	// deterministic payloads make the duplicate byte-identical, so
-	// clients never notice.
-	if s.speculation && s.avgTaskDur > 0 && s.queue.Len() == 0 {
-		for _, t := range s.byID {
-			if t.worker == "" || t.speculated || t.cancelled ||
-				t.attempts > s.maxAttempts-2 {
-				continue
-			}
-			if !s.freeCapacityElsewhereLocked(t.worker) {
-				// The copy is never granted back to the original worker,
-				// so without a free slot on a different live worker it
-				// would only starve in the queue. In particular a
-				// single-worker grid never speculates: the original
-				// attempt stays the task's one true lease.
-				continue
-			}
-			elapsed := now.Sub(t.leasedAt)
-			if elapsed < 2*s.avgTaskDur {
-				continue
-			}
-			if p := t.progress; p != nil && p.Total > 0 && p.Uops > 0 {
-				frac := float64(p.Uops) / float64(p.Total)
-				if time.Duration(float64(elapsed)*(1-frac)/frac) < s.avgTaskDur {
-					// Nearly done: let it finish.
-					continue
-				}
-			}
-			t.prevWorker = t.worker
-			t.worker = ""
-			t.progress = nil
-			t.speculated = true
-			s.speculatedCount++
-			t.enqueuedAt = now
-			s.tracer.Record(TraceEvent{Trace: t.hash, Stage: StageEnqueued,
-				Task: t.id, Detail: "speculated"})
-			s.queue.Push(t)
-			requeued = true
-		}
 	}
 	if requeued {
 		s.wakeLocked()

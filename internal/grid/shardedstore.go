@@ -15,11 +15,9 @@ import (
 const defaultShardReplication = 2
 
 // ShardedStore shards one logical result store over the live federation
-// membership instead of pointing every member at a single owner (the
-// RemoteStore topology, whose owner is a cache SPOF). Each hash is
-// rendezvous-hashed over self plus the current peers — the same
-// highest-random-weight scheme the client side uses to partition jobs —
-// and its top replication-factor members own it.
+// membership, so no single member is the cache's point of failure. Each
+// hash is rendezvous-hashed (highest random weight) over self plus the
+// current peers, and its top replication-factor members own it.
 //
 //   - Put writes through to the local store synchronously (the producer
 //     always keeps its own copy, and a Get right after a Put still
@@ -107,8 +105,8 @@ func (s *ShardedStore) SetMembership(fn func() []string) {
 func (s *ShardedStore) Local() Storage { return s.local }
 
 // owners ranks the live membership (self included) by rendezvous score
-// for hash — sha256(hash + "|" + member), highest first, the mirror of
-// the client partitioner's peerOrder — and returns the top
+// for hash — sha256(hash + "|" + member), highest first, so every member
+// ranks identically without coordination — and returns the top
 // replication-factor members. With no membership attached or no live
 // peers the answer is just self: plain local operation.
 func (s *ShardedStore) owners(hash string) []string {

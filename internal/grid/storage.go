@@ -4,14 +4,12 @@ package grid
 // Server: canonical job hash → result payload bytes, stored verbatim so
 // cache hits are byte-identical to the worker's original answer.
 //
-// Four implementations ship with the package: the in-memory Store
+// Three implementations ship with the package: the in-memory Store
 // (the default — a restart forgets everything), the crash-safe
-// DiskStore (a server restarted on the same directory keeps its cache),
-// the networked RemoteStore (this server reads and banks results in
-// a peer's store — the federation's shared cache tier; a shared
-// DiskStore directory is the same seam for co-located peers), and the
-// ShardedStore (the federation tier without a single owner: hashes
-// rendezvous-sharded over the live membership with replication).
+// DiskStore (a server restarted on the same directory keeps its cache;
+// co-located peers may share one directory), and the ShardedStore (the
+// federation's shared cache tier: hashes rendezvous-sharded over the
+// live membership with replication).
 //
 // Contract, shared by all and pinned by TestStorageContract:
 //
@@ -40,6 +38,5 @@ type Storage interface {
 var (
 	_ Storage = (*Store)(nil)
 	_ Storage = (*DiskStore)(nil)
-	_ Storage = (*RemoteStore)(nil)
 	_ Storage = (*ShardedStore)(nil)
 )

@@ -2,7 +2,6 @@ package grid
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/url"
@@ -16,8 +15,8 @@ import (
 // stall the admission path or a completing worker.
 const (
 	// storeGetTimeout bounds one remote lookup. Short on purpose: a Get
-	// sits on the batch admission path, and a wedged peer stalling every
-	// lookup 30s (the old single RemoteStore timeout) froze admission.
+	// sits on the batch admission path, where a wedged peer may cost a
+	// short timeout but never a stall.
 	storeGetTimeout = 2 * time.Second
 	// storePutTimeout bounds one background write; generous, since puts
 	// run off the hot path on the put worker goroutine.
@@ -35,12 +34,11 @@ const (
 // short synchronous Gets, background bounded-queue Puts whose overflow
 // and failures are counted in dropped, a cooldown breaker after any
 // transport failure, and optional request signing (see PeerAuthHeader).
-// It is the transport shared by RemoteStore (one fixed peer) and
-// ShardedStore (one client per live member).
+// ShardedStore keeps one per live member.
 type storeClient struct {
 	base   string
 	secret string
-	getc   *http.Client // bounds Get and Stat
+	getc   *http.Client // bounds one Get
 	putc   *http.Client // bounds one background Put
 
 	queue   chan storePut
@@ -196,29 +194,6 @@ func (c *storeClient) put(hash string, payload []byte) bool {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	return resp.StatusCode < 400
-}
-
-// stat fetches the peer's store statistics.
-func (c *storeClient) stat() (storeStat, bool) {
-	var st storeStat
-	if !c.available() {
-		return st, false
-	}
-	req, err := http.NewRequest(http.MethodGet, c.base+pathStoreStat, nil)
-	if err != nil {
-		return st, false
-	}
-	c.sign(req, pathStoreStat, nil)
-	resp, err := c.getc.Do(req)
-	if err != nil {
-		c.markDown()
-		return st, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&st) != nil {
-		return st, false
-	}
-	return st, true
 }
 
 // flush waits until the put queue is drained (queued and in-flight both

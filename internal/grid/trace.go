@@ -30,7 +30,7 @@ const (
 	StageAdmitted = "admitted"
 	// StageEnqueued marks a task entering the work queue: on creation,
 	// and again on every requeue (Detail says why: "reassigned",
-	// "speculated").
+	// "steal released").
 	StageEnqueued = "enqueued"
 	// StageLeased marks a lease grant (Worker + Attempt identify it).
 	StageLeased = "leased"

@@ -1,17 +1,16 @@
 package repro
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/grid"
@@ -27,22 +26,21 @@ import (
 
 // WithGrid routes the Runner's executions to a grid job server instead
 // of the local worker pool. addr is one server (":8321", "host:8321" or
-// a full http URL) or a comma-separated list of federated peers; with
-// several, jobs are partitioned across them by rendezvous-hashing each
-// job's locality profile (workload+config), so recurring jobs keep
-// landing on the server whose workers already have their state warm,
-// and a peer that dies mid-batch is failed over transparently: its jobs
-// are resubmitted to the next peer, and any result already banked in
-// the federation's shared store is a cache hit there. Job defaults
-// (warmup fraction, derived config) resolve client-side before
-// dispatch, so results are bit-identical to a local run. WithWorkers
-// does not limit a grid batch — the servers' workers set the
-// parallelism.
+// a full http URL) or a comma-separated list of federated peers in
+// failover order: a batch goes whole to the first peer (the federation
+// spreads it across members by work stealing), and when a peer is
+// unreachable or dies mid-batch its unfinished jobs are resubmitted to
+// the next one, where any result already banked in the federation's
+// shared store is a cache hit. Peers naming the same server after
+// normalisation are listed once. Job defaults (warmup fraction, derived
+// config) resolve client-side before dispatch, so results are
+// bit-identical to a local run. WithWorkers does not limit a grid batch
+// — the servers' workers set the parallelism.
 func WithGrid(addr string) Option {
 	return func(r *Runner) {
 		var peers []string
 		for _, a := range strings.Split(addr, ",") {
-			if u := grid.BaseURL(a); u != "" {
+			if u := grid.BaseURL(a); u != "" && !slices.Contains(peers, u) {
 				peers = append(peers, u)
 			}
 		}
@@ -61,9 +59,8 @@ func gridPeers(gridAddr string) []string {
 // profileKey is a job's locality profile: a short hash over the
 // resolved workload and machine configuration (not the policy or
 // budgets), so every sweep point probing one workload/machine pair maps
-// to the same key. The grid uses it twice — the client rendezvous-hashes
-// it to a federated peer, and each server prefers granting it to a
-// worker that recently ran the same profile.
+// to the same key. Each grid server prefers granting a profiled task to
+// a worker that recently ran the same profile.
 func profileKey(j Job) string {
 	data, err := json.Marshal(struct {
 		W Workload `json:"w"`
@@ -74,23 +71,6 @@ func profileKey(j Job) string {
 	}
 	sum := sha256.Sum256(data)
 	return "p:" + hex.EncodeToString(sum[:8])
-}
-
-// peerOrder ranks peers for a profile by rendezvous (highest random
-// weight) hashing: every client ranks identically, so a profile's jobs
-// converge on one peer without coordination, and the ranking doubles as
-// the failover order — peer down, next in line.
-func peerOrder(profile string, peers []string) []string {
-	out := make([]string, len(peers))
-	copy(out, peers)
-	score := func(peer string) [32]byte {
-		return sha256.Sum256([]byte(profile + "|" + peer))
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := score(out[i]), score(out[j])
-		return bytes.Compare(a[:], b[:]) > 0
-	})
-	return out
 }
 
 // WithGridPriority sets the queue priority of every job this Runner
@@ -240,33 +220,27 @@ func (r *Runner) JobExecProgress(every uint64) func(ctx context.Context, payload
 const transportFailedPrefix = "grid: result stream ended early"
 
 // runGridBatch is RunBatch over the wire: resolve and validate each job
-// locally (bad jobs fail fast without a round trip), partition the rest
-// across the federated peers by locality profile, submit one grid batch
-// per peer, and map the NDJSON result streams back onto JobResults. A
-// peer that dies mid-batch has its unfinished jobs resubmitted down the
-// rendezvous order (the shared store makes anything it did finish a
-// cache hit). Delivery follows the RunBatch contract: completion order,
-// per-job errors in JobResult.Err, best-effort after cancellation.
+// locally (bad jobs fail fast without a round trip), submit the rest as
+// one grid batch, and map the NDJSON result stream back onto
+// JobResults. A peer that dies mid-batch has its unfinished jobs
+// resubmitted to the next peer in order (the shared store makes
+// anything it did finish a cache hit). Delivery follows the RunBatch
+// contract: completion order, per-job errors in JobResult.Err,
+// best-effort after cancellation.
 func (r *Runner) runGridBatch(ctx context.Context, jobs []Job) <-chan JobResult {
 	batch := make([]Job, len(jobs))
 	copy(batch, jobs)
 	out := make(chan JobResult)
 	go func() {
 		defer close(out)
-		peers := gridPeers(r.grid)
 		total := len(batch)
-		// Result streams of several peers run concurrently; one mutex
-		// serializes the progress callbacks (their documented contract)
-		// and keeps Done strictly increasing.
-		var mu sync.Mutex
+		// emit runs on this goroutine only, so the progress callback is
+		// serialized and Done strictly increasing without a lock.
 		done := 0
 		emit := func(jr JobResult) {
 			if r.progress != nil {
-				mu.Lock()
 				done++
-				p := Progress{Done: done, Total: total, Job: jr.Job, Err: jr.Err}
-				r.progress(p)
-				mu.Unlock()
+				r.progress(Progress{Done: done, Total: total, Job: jr.Job, Err: jr.Err})
 			}
 			select {
 			case out <- jr:
@@ -302,42 +276,20 @@ func (r *Runner) runGridBatch(ctx context.Context, jobs []Job) <-chan JobResult 
 		if len(tasks) == 0 {
 			return
 		}
-
-		// Partition by the profile's rendezvous leader. With one peer
-		// this is one group and zero behaviour change.
-		groups := map[string][]grid.Task{}
-		for _, t := range tasks {
-			leader := peerOrder(t.Profile, peers)[0]
-			groups[leader] = append(groups[leader], t)
-		}
-		var wg sync.WaitGroup
-		for leader, group := range groups {
-			order := []string{leader}
-			for _, p := range peers {
-				if p != leader {
-					order = append(order, p)
-				}
-			}
-			wg.Add(1)
-			go func(order []string, group []grid.Task) {
-				defer wg.Done()
-				r.submitGroup(ctx, order, group, batch, taskIndex, &mu, emit)
-			}(order, group)
-		}
-		wg.Wait()
+		r.submitGroup(ctx, gridPeers(r.grid), tasks, batch, taskIndex, emit)
 	}()
 	return out
 }
 
-// submitGroup submits one peer's share of a batch, failing transport
-// casualties over to the next peer in order. Each job is tried at most
-// once per peer; when every peer has failed it, the last transport
+// submitGroup submits a batch's tasks to the first peer in order,
+// failing transport casualties over to the next. Each job is tried at
+// most once per peer; when every peer has failed it, the last transport
 // error is its result.
-func (r *Runner) submitGroup(ctx context.Context, order []string, group []grid.Task,
-	batch []Job, taskIndex map[string]int, mu *sync.Mutex, emit func(JobResult)) {
-	remaining := group
+func (r *Runner) submitGroup(ctx context.Context, peers []string, tasks []grid.Task,
+	batch []Job, taskIndex map[string]int, emit func(JobResult)) {
+	remaining := tasks
 	lastErr := ""
-	for _, peer := range order {
+	for _, peer := range peers {
 		if len(remaining) == 0 || ctx.Err() != nil {
 			return
 		}
@@ -380,9 +332,7 @@ func (r *Runner) submitGroup(ctx context.Context, order []string, group []grid.T
 					BatchETA:    time.Duration(p.BatchEtaMS) * time.Millisecond,
 					Stop:        stop,
 				}
-				mu.Lock()
 				r.gridProgress(jp)
-				mu.Unlock()
 			}
 		}
 		ch, handle, err := client.SubmitStream(ctx, remaining, onProgress)
@@ -485,7 +435,6 @@ func (r *Runner) GridMetrics(ctx context.Context) (GridMetrics, error) {
 		}
 		agg.AffinityHits += m.AffinityHits
 		agg.AffinityMisses += m.AffinityMisses
-		agg.Speculated += m.Speculated
 		agg.Rejected += m.Rejected
 		agg.Overloaded += m.Overloaded
 		agg.QueueDepth += m.QueueDepth

@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -368,69 +371,137 @@ func TestWithGridSubmitError(t *testing.T) {
 	}
 }
 
-// TestWithGridFailover covers multi-peer dispatch with a dead member.
-// The dead peer is chosen so that it rendezvous-WINS the jobs' locality
-// profile — every job's first-choice server refuses connections — and
-// the batch must still finish through the live peer, byte-identical to
-// a local run.
+// TestWithGridFailover pins the multi-peer contract: the peer list is
+// the failover order. With the dead peer listed first, every job must
+// fail over to the live one and finish byte-identical to a local run;
+// with two live peers, the first-listed one receives the whole batch
+// and the second none; and when the first peer dies mid-batch, the jobs
+// it had not finished are resubmitted to the second and still finish
+// byte-identical.
 func TestWithGridFailover(t *testing.T) {
 	w := mustWorkload(t, "gcc")
-	srv := grid.NewServer(grid.WithLeaseTTL(2 * time.Second))
-	ts := httptest.NewServer(srv)
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		gw := &grid.Worker{Server: ts.URL, Name: fmt.Sprintf("fo%d", i),
-			ExecProgress: NewRunner().JobExecProgress(0), Parallel: 2,
-			LeaseWait: 100 * time.Millisecond}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			gw.Run(ctx)
-		}()
+	// startGrid serves a grid with two workers running exec (nil: the
+	// real job execution).
+	startGrid := func(exec grid.ProgressExecFunc) (*grid.Server, *httptest.Server) {
+		if exec == nil {
+			exec = NewRunner().JobExecProgress(0)
+		}
+		srv := grid.NewServer(grid.WithLeaseTTL(2 * time.Second))
+		ts := httptest.NewServer(srv)
+		ctx, cancel := context.WithCancel(context.Background())
+		var wg sync.WaitGroup
+		for i := 0; i < 2; i++ {
+			gw := &grid.Worker{Server: ts.URL, Name: fmt.Sprintf("fo%d", i),
+				ExecProgress: exec, Parallel: 2, LeaseWait: 100 * time.Millisecond}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				gw.Run(ctx)
+			}()
+		}
+		t.Cleanup(func() {
+			cancel()
+			wg.Wait()
+			ts.Close()
+			srv.Close()
+		})
+		return srv, ts
 	}
-	t.Cleanup(func() {
-		cancel()
-		wg.Wait()
-		ts.Close()
-		srv.Close()
-	})
 
 	jobs := []Job{
 		{Policy: PolicyBaseline(), Workload: w, N: 2_000},
 		{Policy: PolicyBaseline(), Workload: w, N: 3_000},
 		{Policy: PolicyBaseline(), Workload: w, N: 4_000},
 	}
-	// All three jobs share one profile (same workload+config); pick a
-	// dead address that outranks the live server for it, so failover is
-	// guaranteed to be on the path, not left to hashing luck.
-	prof := profileKey(jobs[0])
-	dead := ""
-	for port := 1; port < 100; port++ {
-		cand := fmt.Sprintf("http://127.0.0.1:%d", port)
-		if peerOrder(prof, []string{cand, ts.URL})[0] == cand {
-			dead = cand
-			break
-		}
-	}
-	if dead == "" {
-		t.Fatal("no candidate address outranks the live server")
-	}
-
-	gridRes, err := NewRunner(WithGrid(dead+","+ts.URL)).RunAll(context.Background(), jobs)
-	if err != nil {
-		t.Fatalf("federated batch with one dead peer failed: %v", err)
-	}
 	localRes, err := NewRunner().RunAll(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range jobs {
-		if !reflect.DeepEqual(gridRes[i], localRes[i]) {
-			t.Errorf("job %d: failover result differs from local run", i)
+	runGrid := func(t *testing.T, addr string, opts ...Option) {
+		t.Helper()
+		gridRes, err := NewRunner(append(opts, WithGrid(addr))...).RunAll(context.Background(), jobs)
+		if err != nil {
+			t.Fatalf("grid batch over %s failed: %v", addr, err)
+		}
+		for i := range jobs {
+			if !reflect.DeepEqual(gridRes[i], localRes[i]) {
+				t.Errorf("job %d: grid result differs from local run", i)
+			}
 		}
 	}
-	if m := srv.Metrics(); m.Submitted != uint64(len(jobs)) {
-		t.Errorf("live peer saw %d submissions, want %d", m.Submitted, len(jobs))
+
+	t.Run("dead peer first", func(t *testing.T) {
+		srv, live := startGrid(nil)
+		runGrid(t, "127.0.0.1:1,"+live.URL) // nothing listens on port 1
+		if m := srv.Metrics(); m.Submitted != uint64(len(jobs)) {
+			t.Errorf("live peer saw %d submissions, want %d", m.Submitted, len(jobs))
+		}
+	})
+	t.Run("two live peers", func(t *testing.T) {
+		first, tsFirst := startGrid(nil)
+		second, tsSecond := startGrid(nil)
+		runGrid(t, tsFirst.URL+","+tsSecond.URL)
+		if m := first.Metrics(); m.Submitted != uint64(len(jobs)) {
+			t.Errorf("first peer saw %d submissions, want %d", m.Submitted, len(jobs))
+		}
+		if m := second.Metrics(); m.Submitted != 0 {
+			t.Errorf("second peer saw %d submissions, want 0", m.Submitted)
+		}
+	})
+	t.Run("first peer dies mid-batch", func(t *testing.T) {
+		// The first peer's workers finish one job and hang on every
+		// later one, so exactly one result streams before the peer's
+		// connections are cut from the progress callback.
+		real := NewRunner().JobExecProgress(0)
+		var started atomic.Int32
+		hang := func(ctx context.Context, payload []byte, report func(grid.TaskProgress)) ([]byte, error) {
+			if started.Add(1) == 1 {
+				return real(ctx, payload, report)
+			}
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		first, tsFirst := startGrid(hang)
+		second, tsSecond := startGrid(nil)
+		cut := func(p Progress) {
+			if p.Done == 1 {
+				tsFirst.CloseClientConnections()
+			}
+		}
+		runGrid(t, tsFirst.URL+","+tsSecond.URL, WithProgress(cut))
+		if m := first.Metrics(); m.Completed != 1 {
+			t.Errorf("first peer completed %d jobs before dying, want 1", m.Completed)
+		}
+		if m := second.Metrics(); m.Submitted != uint64(len(jobs)-1) {
+			t.Errorf("second peer saw %d submissions, want the %d unfinished", m.Submitted, len(jobs)-1)
+		}
+	})
+}
+
+// TestWithGridDedupesPeers pins that one server listed under several
+// spellings counts once: GridMetrics over the duplicated list must
+// equal GridMetrics over the single address, not sum it twice.
+func TestWithGridDedupesPeers(t *testing.T) {
+	fake := grid.Metrics{Submitted: 3, CacheHits: 1, CacheMisses: 2, Completed: 2,
+		LeasesGranted: 2, Workers: 1, StoreEntries: 2}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(fake)
+	}))
+	defer ts.Close()
+	port := ts.URL[strings.LastIndex(ts.URL, ":"):]
+
+	single, err := NewRunner(WithGrid(ts.URL)).GridMetrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup, err := NewRunner(WithGrid(port + ",127.0.0.1" + port + "," + ts.URL + "/")).GridMetrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dup, single) {
+		t.Errorf("duplicated peers: metrics %+v, want %+v", dup, single)
+	}
+	if single.Submitted != fake.Submitted {
+		t.Errorf("single peer: submitted %d, want %d", single.Submitted, fake.Submitted)
 	}
 }

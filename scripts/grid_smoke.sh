@@ -7,22 +7,25 @@
 # mid-study is survived via lease reassignment, (d) a disk-backed
 # server killed with SIGKILL and restarted on the same -store-dir serves
 # the rerun entirely from the recovered cache (0 misses), byte-identical,
-# (e) the federation chaos leg: one of two federated servers is
-# SIGKILLed mid-ladder, the surviving peer finishes the batch (client
-# failover + lease expiry), and a rerun is 100% served from the shared
-# store — still byte-identical to the local run, and (f) the
-# multi-tenant service leg: an autoscaled, federated server under two
-# tenant identities survives a SIGKILLed federation peer AND a
-# SIGKILLed autoscaled worker mid-study (the supervisor respawns it),
-# loses no job, enforces the metered tenant's rate limit (429 + client
-# retry), and still produces byte-identical results, (g) the sharded
-# cache leg: a 3-member secreted federation runs with -store-shard 2,
-# one shard replica holder is SIGKILLed mid-ladder, results stay
-# byte-identical and the rerun — dead member still listed — is served
-# 100% from the surviving replicas (no new cache misses), and (h) the
-# auth leg: a peer started with the wrong -peer-secret is refused at
-# the gossip seam (403s counted in peer_auth_rejected) and never joins
-# the membership.
+# (e) the federation chaos leg: of two federated servers sharing a
+# -store-shard 2 cache tier, the first-listed member — the one streaming
+# the ladder — is SIGKILLed mid-batch, the client fails the unfinished
+# jobs over to the survivor, and a rerun listing the dead member first
+# is 100% served from the survivor's store — still byte-identical to
+# the local run, and (f) the multi-tenant service leg: an autoscaled
+# server federated over a -store-shard 2 tier, under two tenant
+# identities, survives the SIGKILL of the federation peer streaming
+# its batch (client failover) AND of an autoscaled worker mid-study
+# (the supervisor respawns it), loses no job, enforces the metered
+# tenant's rate limit (429 + client retry), and still produces
+# byte-identical results, (g) the sharded cache leg: a 3-member
+# secreted federation runs with -store-shard 2, the replica holder
+# streaming the ladder is SIGKILLed mid-batch, results stay
+# byte-identical after client failover and the rerun — dead member
+# still listed first — is served 100% from the surviving replicas (no
+# new cache misses), and (h) the auth leg: a peer started with the
+# wrong -peer-secret is refused at the gossip seam (403s counted in
+# peer_auth_rejected) and never joins the membership.
 #
 # Run it via `make grid-smoke`; it builds into a temp dir and cleans up
 # after itself.
@@ -149,23 +152,36 @@ if [ "${MISSES2:-1}" -ne 0 ] || [ "${HITS2:-0}" -lt 1 ]; then
 fi
 echo "grid-smoke: restart kept the cache ($HITS2 hits, 0 misses — 100% cached)"
 
+# failed_over PORT prints how many client submissions the server on PORT
+# accepted that did not come from its own steals: a stolen task reaches
+# the thief's queue as a loopback submission (counted in steals_in), so
+# on a member listed after the one streaming the batch, the rest came
+# through client failover.
+failed_over() {
+    m=$("$WORKDIR/helperd" metrics -server "127.0.0.1:$1")
+    sub=$(echo "$m" | grep -o '"submitted": [0-9]*' | grep -o '[0-9]*')
+    stolen=$(echo "$m" | grep -o '"steals_in": [0-9]*' | grep -o '[0-9]*')
+    echo $((${sub:-0} - ${stolen:-0}))
+}
+
 # --- federation chaos: kill a member mid-ladder ---------------------------
-# Two federated servers share one store (A's disk store; B reaches it
-# over HTTP via -store-remote). `sweep -grid A,B` partitions the ladder
-# across both by job affinity; B is SIGKILLed mid-study. The client
-# fails B's jobs over to A, B's stolen leases on A expire and requeue,
-# and A's worker finishes everything — byte-identical to the local run.
-# The rerun, with B still dead, must be answered entirely from the
-# shared store.
+# Two federated servers share one cache tier: -store-shard 2 replicates
+# every result onto both members (A's shard on disk, B's in memory).
+# `sweep -grid B,A` submits the whole ladder to B, and A's workers steal
+# part of it; B is SIGKILLed mid-study. Its result stream ends early, so
+# the client resubmits every unfinished job to A, whose workers finish
+# everything — byte-identical to the local run. The rerun, with B still
+# dead, lists B first again: the client must fail over to A, which
+# answers entirely from its store.
 PORTA=18551
 PORTB=18552
 FEDSTORE="$WORKDIR/fedstore"
-echo "grid-smoke: federation of two servers (shared store: $FEDSTORE)"
-"$WORKDIR/helperd" serve -addr "127.0.0.1:$PORTA" -lease 750ms -store-dir "$FEDSTORE" \
+echo "grid-smoke: federation of two servers (sharded store, A's shard: $FEDSTORE)"
+"$WORKDIR/helperd" serve -addr "127.0.0.1:$PORTA" -lease 750ms -store-dir "$FEDSTORE" -store-shard 2 \
     -self "127.0.0.1:$PORTA" -peers "127.0.0.1:$PORTB" 2>"$WORKDIR/fedA.log" &
 PIDS="$PIDS $!"
 wait_server "$PORTA"
-"$WORKDIR/helperd" serve -addr "127.0.0.1:$PORTB" -lease 750ms -store-remote "127.0.0.1:$PORTA" \
+"$WORKDIR/helperd" serve -addr "127.0.0.1:$PORTB" -lease 750ms -store-shard 2 \
     -self "127.0.0.1:$PORTB" -peers "127.0.0.1:$PORTA" 2>"$WORKDIR/fedB.log" &
 FEDB_PID=$!
 PIDS="$PIDS $FEDB_PID"
@@ -175,21 +191,26 @@ PIDS="$PIDS $!"
 "$WORKDIR/helperd" work -server "127.0.0.1:$PORTB" -workers 2 -name fb 2>"$WORKDIR/fb.log" &
 PIDS="$PIDS $!"
 
-echo "grid-smoke: SIGKILLing federation member B mid-ladder"
+echo "grid-smoke: SIGKILLing federation member B mid-ladder (B streams the batch)"
 ( sleep 0.5; kill -9 "$FEDB_PID" 2>/dev/null || true ) &
-"$WORKDIR/sweep" -study ladder -n 20000 -grid "127.0.0.1:$PORTA,127.0.0.1:$PORTB" \
+"$WORKDIR/sweep" -study ladder -n 20000 -grid "127.0.0.1:$PORTB,127.0.0.1:$PORTA" \
     > "$WORKDIR/fedkill.txt" 2>"$WORKDIR/fedkill.err"
 if ! diff "$WORKDIR/localkill.txt" "$WORKDIR/fedkill.txt"; then
     echo "grid-smoke: FAIL — results after federation member death differ from local run"
     cat "$WORKDIR/fedkill.err"
     exit 1
 fi
-echo "grid-smoke: surviving member finished the ladder with identical results"
+FAILED_OVER=$(failed_over "$PORTA")
+if [ "$FAILED_OVER" -lt 1 ]; then
+    echo "grid-smoke: FAIL — no job failed over from B to A (client submissions on A = $FAILED_OVER)"
+    exit 1
+fi
+echo "grid-smoke: surviving member finished the ladder with identical results ($FAILED_OVER jobs failed over)"
 
-# The rerun lists dead B too: the client must fail over to A and serve
-# every job from the shared store (no new misses on A).
+# The rerun lists dead B first: the client must fail over to A and
+# serve every job from the shared store (no new misses on A).
 MISSA=$("$WORKDIR/helperd" metrics -server "127.0.0.1:$PORTA" | grep -o '"cache_misses": [0-9]*' | grep -o '[0-9]*')
-"$WORKDIR/sweep" -study ladder -n 20000 -grid "127.0.0.1:$PORTA,127.0.0.1:$PORTB" \
+"$WORKDIR/sweep" -study ladder -n 20000 -grid "127.0.0.1:$PORTB,127.0.0.1:$PORTA" \
     > "$WORKDIR/fedrerun.txt" 2>/dev/null
 diff "$WORKDIR/fedkill.txt" "$WORKDIR/fedrerun.txt" >/dev/null || {
     echo "grid-smoke: FAIL — federated rerun drifted"; exit 1; }
@@ -205,10 +226,13 @@ echo "grid-smoke: federated rerun 100% from the shared store (steals_out=${STEAL
 # Server C runs in service mode: it supervises its own worker fleet
 # (min 1, max 3) and meters two tenants — alice (weight 4, unmetered)
 # and bob (weight 1, rate 2 jobs/s, burst 4). Peer D federates with C
-# and has no workers of its own. Mid-ladder, D is SIGKILLed (client
-# failover) and so is one of C's autoscaled workers (the supervisor
-# must respawn it). No job may be lost and the output must stay
-# byte-identical. Then bob runs the small study twice CONCURRENTLY:
+# over a -store-shard 2 cache tier and has no workers of its own; the
+# ladder goes to D, the first-listed member, and C's workers steal it.
+# Mid-ladder, D is SIGKILLed (the client fails the unfinished jobs
+# over to C, whose shard degrades to its local copy) and so is one of
+# C's autoscaled workers (the supervisor must respawn it). No job may
+# be lost and the output must stay byte-identical. Then bob runs the
+# small study twice CONCURRENTLY:
 # two 3-job batches against a burst of 4 guarantee the second one
 # overdraws his token bucket, so the server must answer 429 +
 # Retry-After and the client must retry it to success — quotas
@@ -219,11 +243,11 @@ SVCSTORE="$WORKDIR/svcstore"
 echo "grid-smoke: service-mode server (autoscaled min=1 max=3, tenants alice+bob)"
 "$WORKDIR/helperd" serve -addr "127.0.0.1:$PORTC" -lease 750ms -store-dir "$SVCSTORE" \
     -min-workers 1 -max-workers 3 -scale-tick 100ms -worker-parallel 2 \
-    -tenants "alice,weight=4;bob,weight=1,rate=2,burst=4" -log warn \
+    -tenants "alice,weight=4;bob,weight=1,rate=2,burst=4" -log warn -store-shard 2 \
     -self "127.0.0.1:$PORTC" -peers "127.0.0.1:$PORTD" 2>"$WORKDIR/svcC.log" &
 PIDS="$PIDS $!"
 wait_server "$PORTC"
-"$WORKDIR/helperd" serve -addr "127.0.0.1:$PORTD" -lease 750ms -store-remote "127.0.0.1:$PORTC" \
+"$WORKDIR/helperd" serve -addr "127.0.0.1:$PORTD" -lease 750ms -store-shard 2 \
     -self "127.0.0.1:$PORTD" -peers "127.0.0.1:$PORTC" 2>"$WORKDIR/svcD.log" &
 SVCD_PID=$!
 PIDS="$PIDS $SVCD_PID"
@@ -232,11 +256,16 @@ wait_server "$PORTD"
 echo "grid-smoke: SIGKILLing peer D and the autoscaled workers mid-ladder (tenant alice)"
 ( sleep 0.6; kill -9 "$SVCD_PID" 2>/dev/null || true
   pkill -9 -f "$WORKDIR/helperd work .*$PORTC" 2>/dev/null || true ) &
-"$WORKDIR/sweep" -study ladder -n 20000 -grid "127.0.0.1:$PORTC,127.0.0.1:$PORTD" \
+"$WORKDIR/sweep" -study ladder -n 20000 -grid "127.0.0.1:$PORTD,127.0.0.1:$PORTC" \
     -grid-client alice > "$WORKDIR/svckill.txt" 2>"$WORKDIR/svckill.err"
 if ! diff "$WORKDIR/localkill.txt" "$WORKDIR/svckill.txt"; then
     echo "grid-smoke: FAIL — service-mode results differ from local run after peer+worker SIGKILL"
     cat "$WORKDIR/svckill.err"
+    exit 1
+fi
+SVC_FAILED_OVER=$(failed_over "$PORTC")
+if [ "$SVC_FAILED_OVER" -lt 1 ]; then
+    echo "grid-smoke: FAIL — no job failed over from D to C (client submissions on C = $SVC_FAILED_OVER)"
     exit 1
 fi
 UPS=$("$WORKDIR/helperd" metrics -server "127.0.0.1:$PORTC" 2>/dev/null | grep -o '"scale_ups": [0-9]*' | grep -o '[0-9]*')
@@ -245,7 +274,7 @@ if [ "${UPS:-0}" -lt 2 ]; then
     cat "$WORKDIR/svcC.log"
     exit 1
 fi
-echo "grid-smoke: autoscaled fleet survived peer+worker SIGKILL, identical results (scale_ups=$UPS)"
+echo "grid-smoke: autoscaled fleet survived peer+worker SIGKILL, identical results (scale_ups=$UPS, $SVC_FAILED_OVER jobs failed over)"
 
 echo "grid-smoke: tenant bob overdraws his rate limit (expect 429 + client retry)"
 "$WORKDIR/sweep" $STUDY -grid "127.0.0.1:$PORTC" -grid-client bob > "$WORKDIR/bob1.txt" 2>/dev/null &
@@ -340,11 +369,12 @@ echo "grid-smoke: stolen job span tree complete across the hop ($STOLEN_ID)"
 # --- sharded cache tier: SIGKILL a replica holder mid-ladder ---------------
 # Three members H/I/J share a secret and shard the result store over the
 # live membership (-store-shard 2: every hash lives on two owners).
-# Workers run on H only, so the federation steals I's and J's shares.
-# I is SIGKILLed mid-ladder: the client fails its jobs over, results
-# stay byte-identical, and the rerun — with dead I still in the grid
-# list — must be answered entirely from the surviving replicas: zero
-# new cache misses on H and J combined.
+# The client lists I first, so I streams the whole ladder; workers run
+# on H only, so H steals every task from I and banks each result in the
+# shard. I is SIGKILLed mid-ladder: the client fails its unfinished
+# jobs over to H, results stay byte-identical, and the rerun — with
+# dead I still listed first — must be answered entirely from the
+# surviving replicas: zero new cache misses on H and J combined.
 PORTH=18560
 PORTI=18561
 PORTJ=18562
@@ -382,22 +412,27 @@ done
 echo "grid-smoke: SIGKILLing shard replica holder I mid-ladder"
 ( sleep 0.5; kill -9 "$SHARDI_PID" 2>/dev/null || true ) &
 "$WORKDIR/sweep" -study ladder -n 20000 \
-    -grid "127.0.0.1:$PORTH,127.0.0.1:$PORTI,127.0.0.1:$PORTJ" \
+    -grid "127.0.0.1:$PORTI,127.0.0.1:$PORTH,127.0.0.1:$PORTJ" \
     > "$WORKDIR/shardkill.txt" 2>"$WORKDIR/shardkill.err"
 if ! diff "$WORKDIR/localkill.txt" "$WORKDIR/shardkill.txt"; then
     echo "grid-smoke: FAIL — results after shard replica death differ from local run"
     cat "$WORKDIR/shardkill.err"
     exit 1
 fi
-echo "grid-smoke: ladder survived the replica death with identical results"
+SHARD_FAILED_OVER=$(failed_over "$PORTH")
+if [ "$SHARD_FAILED_OVER" -lt 1 ]; then
+    echo "grid-smoke: FAIL — no job failed over from I to H (client submissions on H = $SHARD_FAILED_OVER)"
+    exit 1
+fi
+echo "grid-smoke: ladder survived the replica death with identical results ($SHARD_FAILED_OVER jobs failed over)"
 
-# The rerun still lists dead I; its share fails over to H/J, and every
-# job must be served from a surviving replica — local or across the
-# wire — with no re-simulation anywhere.
+# The rerun still lists dead I first; the batch fails over to H, and
+# every job must be served from a surviving replica — local or across
+# the wire — with no re-simulation anywhere.
 MH1=$("$WORKDIR/helperd" metrics -server "127.0.0.1:$PORTH" | grep -o '"cache_misses": [0-9]*' | grep -o '[0-9]*')
 MJ1=$("$WORKDIR/helperd" metrics -server "127.0.0.1:$PORTJ" | grep -o '"cache_misses": [0-9]*' | grep -o '[0-9]*')
 "$WORKDIR/sweep" -study ladder -n 20000 \
-    -grid "127.0.0.1:$PORTH,127.0.0.1:$PORTI,127.0.0.1:$PORTJ" \
+    -grid "127.0.0.1:$PORTI,127.0.0.1:$PORTH,127.0.0.1:$PORTJ" \
     > "$WORKDIR/shardrerun.txt" 2>/dev/null
 diff "$WORKDIR/shardkill.txt" "$WORKDIR/shardrerun.txt" >/dev/null || {
     echo "grid-smoke: FAIL — sharded rerun drifted"; exit 1; }
