@@ -25,14 +25,13 @@ race:
 # End-to-end smoke test of the distributed grid: 1 job server + 2 worker
 # processes + `sweep -grid`, asserting byte-identical results vs the
 # local run, cache hits on a rerun, survival of a worker killed
-# mid-study (lease reassignment), the federation chaos leg (the member
+# mid-study (lease reassignment), a disk-backed server SIGKILLed and
+# restarted with its cache intact, the federation chaos leg (the member
 # of a sharded-store federation streaming the ladder SIGKILLed
 # mid-batch; the client fails its unfinished jobs over to the survivor,
-# and the rerun is 100% served from the shared store), and the
-# multi-tenant service leg (an autoscaled server under two tenant
-# identities survives a SIGKILLed peer and SIGKILLed autoscaled
-# workers, enforces the metered tenant's rate limit, and stays
-# byte-identical).
+# and the rerun is 100% served from the shared store), span-tree
+# traces, a 3-member sharded store losing a replica holder, peer auth,
+# and finally that no process it started outlives its cleanup.
 .PHONY: grid-smoke
 grid-smoke:
 	sh scripts/grid_smoke.sh
@@ -45,8 +44,8 @@ perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Coverage gate for the grid subsystem: the distributed fabric (storage,
-# leases, streams, fault recovery, admission control, fair scheduling,
-# autoscaling) must keep at least GRID_COVER_MIN% statement coverage.
+# leases, streams, fault recovery, federation, tracing) must keep at
+# least GRID_COVER_MIN% statement coverage.
 GRID_COVER_MIN ?= 82
 .PHONY: grid-cover
 grid-cover:

@@ -36,7 +36,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"os/signal"
 	"strings"
 	"syscall"
@@ -90,22 +89,19 @@ func usage() {
 
   serve    -addr :8321 [-lease 5s] [-max-attempts 5] [-store-dir dir] [-store-max-bytes 0]
            [-self URL] [-peers a:8321,b:8321] [-peer-secret s] [-store-shard 2]
-           [-tenants spec] [-default-tenant spec] [-max-queue 0]
-           [-min-workers 0] [-max-workers 0] [-worker-parallel 0] [-scale-tick 500ms]
            [-log off|error|warn|info|debug] [-trace 4096] [-trace-spill file]
            [-debug-addr ""]
   work     -server :8321 [-workers 0] [-name ""] [-health ""] [-debug-addr ""]
-  submit   -server :8321 [-jobs file|-] [-priority 0] [-warmup-frac 0.2] [-progress] [-client ""]
+  submit   -server :8321 [-jobs file|-] [-priority 0] [-warmup-frac 0.2] [-progress]
   metrics  -server :8321
   trace    -server :8321 [-check exec|cached|stolen] [-limit 20] [id]
   top      -server :8321 [-interval 1s] [-once]
   federate -servers a:8321,b:8321 [-peer-secret s]
 
-A -tenants spec registers per-client limits, ';'-separated:
-  alice,weight=4,rate=50,burst=100;bob,weight=1,jobs=500,bytes=33554432
--default-tenant takes the same key=value list (no leading id) for
-clients the spec does not name. -min/max-workers enable the autoscaler:
-the server spawns and drains re-exec'd local workers with the queue.
+-log turns on structured server logs; /metrics answers JSON, or the
+Prometheus text form to ?format=prom, a text/plain Accept or
+/metrics/prom. SIGTERM drains a worker: it finishes its in-flight jobs
+and exits 0.
 
 trace with no id lists recent traces; with a trace/task/batch id it
 reconstructs the span tree, following steal hops across federation
@@ -130,13 +126,6 @@ func serveCmd(ctx context.Context, args []string) error {
 	self := fs.String("self", "", "advertised base URL for federation (default: derived from -addr; set it when peers reach this member on another address)")
 	peers := fs.String("peers", "", "comma-separated peer servers; federates this member with them")
 	peerSecret := fs.String("peer-secret", "", "shared secret authenticating the peer seam (HMAC on announce/status/steal/store; empty = open)")
-	tenants := fs.String("tenants", "", "per-tenant limits spec: id,key=value,...;id,... (keys: weight rate burst jobs bytes)")
-	defaultTenant := fs.String("default-tenant", "", "limits for tenants the -tenants spec does not name (key=value,... without an id)")
-	maxQueue := fs.Int("max-queue", 0, "server-wide queue bound; batches past it get 503 + Retry-After (0 = unbounded)")
-	minWorkers := fs.Int("min-workers", 0, "autoscaler floor: local workers kept alive (0 with -max-workers 0 disables autoscaling)")
-	maxWorkers := fs.Int("max-workers", 0, "autoscaler ceiling: most local workers spawned under load")
-	workerPar := fs.Int("worker-parallel", 0, "parallel simulations per spawned worker (0 = GOMAXPROCS)")
-	scaleTick := fs.Duration("scale-tick", 500*time.Millisecond, "autoscaler evaluation period")
 	logLevel := fs.String("log", "", "structured log level: off (default), error, warn, info, debug")
 	traceCap := fs.Int("trace", 0, "trace ring capacity in events (0 = default 4096, negative = disable tracing)")
 	traceSpill := fs.String("trace-spill", "", "append every trace event to this NDJSON file (operators point it next to -store-dir)")
@@ -175,28 +164,6 @@ func serveCmd(ctx context.Context, args []string) error {
 	}
 	if logger != nil {
 		opts = append(opts, grid.WithLogger(logger))
-	}
-	if *maxQueue > 0 {
-		opts = append(opts, grid.WithMaxQueue(*maxQueue))
-	}
-	if *tenants != "" {
-		limits, err := grid.ParseTenantSpec(*tenants)
-		if err != nil {
-			return err
-		}
-		for id, l := range limits {
-			opts = append(opts, grid.WithTenant(id, l))
-		}
-		fmt.Fprintf(os.Stderr, "helperd: %d tenant limit(s) registered\n", len(limits))
-	}
-	if *defaultTenant != "" {
-		// The shared parser wants a leading tenant id; give the
-		// defaults spec a synthetic one.
-		limits, err := grid.ParseTenantSpec("_default," + *defaultTenant)
-		if err != nil {
-			return err
-		}
-		opts = append(opts, grid.WithTenantDefaults(limits["_default"]))
 	}
 	adv := *self
 	if adv == "" {
@@ -246,28 +213,6 @@ func serveCmd(ctx context.Context, args []string) error {
 		handler = fed
 		fmt.Fprintf(os.Stderr, "helperd: federation member %s, seed peers %v\n", fed.Self(), fed.Peers())
 	}
-	if *minWorkers > 0 || *maxWorkers > 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			return err
-		}
-		serverURL := advertiseURL(ln.Addr())
-		as, err := grid.NewAutoscaler(srv, grid.AutoscalerConfig{
-			Min:  *minWorkers,
-			Max:  *maxWorkers,
-			Tick: *scaleTick,
-			Log:  logger,
-			Spawn: func(id int) (grid.WorkerHandle, error) {
-				return spawnWorker(exe, serverURL, id, *workerPar)
-			},
-		})
-		if err != nil {
-			return err
-		}
-		defer as.Close()
-		fmt.Fprintf(os.Stderr, "helperd: autoscaling %d..%d local workers (tick %s)\n",
-			*minWorkers, max(*minWorkers, *maxWorkers), *scaleTick)
-	}
 	hs := &http.Server{Handler: handler}
 	fmt.Fprintf(os.Stderr, "helperd: serving grid on %s\n", ln.Addr())
 	go func() {
@@ -299,40 +244,6 @@ func buildLogger(level string) (*slog.Logger, error) {
 		return nil, fmt.Errorf("unknown -log level %q (want off|error|warn|info|debug)", level)
 	}
 	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lv})), nil
-}
-
-// procHandle adapts a re-exec'd `helperd work` process to the
-// autoscaler's WorkerHandle: Drain is SIGTERM (the worker finishes its
-// in-flight leases and exits), Kill is SIGKILL.
-type procHandle struct {
-	cmd  *exec.Cmd
-	done chan struct{}
-}
-
-func (p *procHandle) Drain() { p.cmd.Process.Signal(syscall.SIGTERM) }
-func (p *procHandle) Kill()  { p.cmd.Process.Kill() }
-
-func (p *procHandle) Done() <-chan struct{} { return p.done }
-
-// spawnWorker launches one supervised `helperd work` process against
-// the server, named auto<N> so operators can tell autoscaled workers
-// from hand-started ones in /metrics.
-func spawnWorker(exe, serverURL string, id, parallel int) (grid.WorkerHandle, error) {
-	args := []string{"work", "-server", serverURL, "-name", fmt.Sprintf("auto%d", id)}
-	if parallel > 0 {
-		args = append(args, "-workers", fmt.Sprint(parallel))
-	}
-	cmd := exec.Command(exe, args...)
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	done := make(chan struct{})
-	go func() {
-		cmd.Wait()
-		close(done)
-	}()
-	return &procHandle{cmd: cmd, done: done}, nil
 }
 
 // advertiseURL derives the federation base URL from the listen address:
@@ -392,7 +303,7 @@ func workCmd(ctx context.Context, args []string) error {
 		Parallel:     *workers,
 		ExecProgress: repro.NewRunner().JobExecProgress(0),
 	}
-	// SIGTERM is the graceful-drain signal (the autoscaler's reap path):
+	// SIGTERM is the graceful-drain signal (a process supervisor's stop):
 	// stop leasing, finish in-flight simulations, post the completions,
 	// exit 0. Interrupt (via ctx) stays the hard stop.
 	sigs := make(chan os.Signal, 1)
@@ -433,7 +344,6 @@ func submitCmd(ctx context.Context, args []string) error {
 	priority := fs.Int("priority", 0, "queue priority (higher runs first)")
 	warmupFrac := fs.Float64("warmup-frac", 0.2, "default warmup fraction for jobs without an explicit warmup")
 	progress := fs.Bool("progress", false, "stream interval progress lines (uops, IPC, rung, phase) to stderr as jobs run")
-	client := fs.String("client", "", "tenant identity (X-Grid-Client) this batch submits as")
 	fs.Parse(args)
 
 	jobs, err := readJobs(*jobsPath)
@@ -447,9 +357,6 @@ func submitCmd(ctx context.Context, args []string) error {
 		repro.WithGrid(*server),
 		repro.WithGridPriority(*priority),
 		repro.WithWarmupFrac(*warmupFrac),
-	}
-	if *client != "" {
-		ropts = append(ropts, repro.WithGridClientID(*client))
 	}
 	if *progress {
 		ropts = append(ropts, repro.WithGridProgress(func(p repro.JobProgress) {
@@ -515,18 +422,9 @@ func metricsCmd(ctx context.Context, args []string) error {
 		fmt.Fprintf(os.Stderr, "helperd: federation: %d peers, %d steals out, %d in, affinity %d/%d\n",
 			m.Peers, m.StealsOut, m.StealsIn, m.AffinityHits, m.AffinityHits+m.AffinityMisses)
 	}
-	for _, t := range m.Tenants {
-		fmt.Fprintf(os.Stderr, "helperd: tenant %-12s weight=%g admitted=%d rejected=%d(rate)+%d(quota) queued=%d running=%d completed=%d failed=%d pending_bytes=%d\n",
-			t.ID, t.Weight, t.Admitted, t.RejectedRate, t.RejectedQuota,
-			t.Queued, t.Running, t.Completed, t.Failed, t.PendingBytes)
-	}
 	if lw := m.LeaseWaits; lw != nil {
 		fmt.Fprintf(os.Stderr, "helperd: lease waits: %d grants, mean %.1fms, max %.1fms\n",
 			lw.Count, lw.MeanMS, lw.MaxMS)
-	}
-	if a := m.Autoscaler; a != nil {
-		fmt.Fprintf(os.Stderr, "helperd: autoscaler: %d workers (target %d), %d ups, %d downs\n",
-			a.Workers, a.Target, a.ScaleUps, a.ScaleDowns)
 	}
 	return nil
 }
@@ -665,7 +563,6 @@ func traceFields(ev grid.TraceEvent) string {
 	}
 	add("task", ev.Task)
 	add("batch", ev.Batch)
-	add("tenant", ev.Tenant)
 	add("worker", ev.Worker)
 	if ev.Attempt > 0 {
 		add("attempt", fmt.Sprint(ev.Attempt))
@@ -691,8 +588,8 @@ func fmtSpan(d time.Duration) string {
 }
 
 // topCmd renders a live text dashboard of one server — the terminal
-// sibling of /dashboard: fleet counters, tenant shares with stage
-// latencies, batch ETAs and in-flight progress bars, refreshed in
+// sibling of /dashboard: fleet counters, stage latencies, batch ETAs
+// and in-flight progress bars, refreshed in
 // place every -interval. -once prints a single snapshot (scripts and
 // tests use it).
 func topCmd(ctx context.Context, args []string) error {
@@ -737,18 +634,10 @@ func renderTop(b *strings.Builder, server string, m *grid.Metrics) {
 		fmt.Fprintf(b, "trace    ring %d/%d events (lifetime %d, spill dropped %d)\n",
 			t.Events, t.Capacity, t.Total, t.SpillDropped)
 	}
-	if a := m.Autoscaler; a != nil {
-		fmt.Fprintf(b, "scaler   %d workers (target %d), %d ups, %d downs\n",
-			a.Workers, a.Target, a.ScaleUps, a.ScaleDowns)
-	}
-	if len(m.Tenants) > 0 {
-		fmt.Fprintf(b, "\n%-14s %6s %9s %9s %6s %7s %6s %11s %11s\n",
-			"TENANT", "WEIGHT", "ADMITTED", "COMPLETED", "QUEUED", "RUNNING", "FAILED", "EXEC MEAN", "E2E MEAN")
-		for _, t := range m.Tenants {
-			fmt.Fprintf(b, "%-14s %6g %9d %9d %6d %7d %6d %11s %11s\n",
-				t.ID, t.Weight, t.Admitted, t.Completed, t.Queued, t.Running, t.Failed,
-				stageMean(t.Stages, "exec"), stageMean(t.Stages, "e2e"))
-		}
+	if len(m.Stages) > 0 {
+		fmt.Fprintf(b, "stages   admission=%s first_progress=%s exec=%s e2e=%s (means)\n",
+			stageMean(m.Stages, "admission"), stageMean(m.Stages, "first_progress"),
+			stageMean(m.Stages, "exec"), stageMean(m.Stages, "e2e"))
 	}
 	if len(m.Batches) > 0 {
 		fmt.Fprintf(b, "\n%-14s %8s %7s %8s %10s\n", "BATCH", "PENDING", "QUEUED", "RUNNING", "ETA")
@@ -773,7 +662,7 @@ func renderTop(b *strings.Builder, server string, m *grid.Metrics) {
 	}
 }
 
-// stageMean renders a tenant's mean latency for one stage, "-" before
+// stageMean renders the mean latency of one stage, "-" before
 // the first observation.
 func stageMean(stages map[string]grid.LatencySummary, stage string) string {
 	if s, ok := stages[stage]; ok && s.Count > 0 {

@@ -50,7 +50,6 @@ func main() {
 		workers      = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 		gridAddr     = flag.String("grid", "", "run the study on a simulation grid: a job-server address, a comma-separated list of federation members in failover order, or an address ending in :0 to spawn an in-process server plus -grid-workers worker processes")
 		gridWorkers  = flag.Int("grid-workers", 2, "worker processes to spawn for -grid addresses ending in :0")
-		gridClient   = flag.String("grid-client", "", "tenant identity (X-Grid-Client) grid submissions use; \"\" is the anonymous tenant")
 		gridWorkFor  = flag.String("as-grid-worker", "", "internal: run as a grid worker for the given server URL")
 		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the study to this file")
 		memProfile   = flag.String("memprofile", "", "write an allocs-inclusive heap profile to this file on exit")
@@ -107,9 +106,6 @@ func main() {
 		// The live interval feed: between completions, show how far the
 		// most recently heard-from point has gotten and what the steering
 		// engine is doing there.
-		if *gridClient != "" {
-			opts = append(opts, repro.WithGridClientID(*gridClient))
-		}
 		opts = append(opts,
 			repro.WithGrid(addr),
 			repro.WithGridProgress(func(p repro.JobProgress) {

@@ -7,50 +7,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	neturl "net/url"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 )
-
-// Backoff shapes how a Client retries admission refusals (HTTP 429 from
-// a tenant's rate limit or quota, 503 from server-wide overload). Each
-// retry waits the server's Retry-After hint plus a uniformly random
-// jitter drawn from an exponentially growing window, and at most
-// MaxConcurrent of the client's submissions may be in their
-// retry-and-resubmit phase at once — together those keep a fleet of
-// refused clients from re-converging on the server as a thundering
-// herd. The zero value means the defaults.
-type Backoff struct {
-	// Base sizes the first jitter window (default 100ms); it doubles
-	// each retry up to Max (default 5s).
-	Base time.Duration
-	Max  time.Duration
-	// Retries bounds resubmissions after the first attempt (default 8).
-	Retries int
-	// MaxConcurrent bounds how many submissions may be retrying at once
-	// (default 2); the rest wait for a slot before their backoff sleep.
-	MaxConcurrent int
-}
-
-func (b Backoff) withDefaults() Backoff {
-	if b.Base <= 0 {
-		b.Base = 100 * time.Millisecond
-	}
-	if b.Max <= 0 {
-		b.Max = 5 * time.Second
-	}
-	if b.Retries <= 0 {
-		b.Retries = 8
-	}
-	if b.MaxConcurrent <= 0 {
-		b.MaxConcurrent = 2
-	}
-	return b
-}
 
 // Client submits task batches to a grid server and decodes the NDJSON
 // result stream.
@@ -59,29 +21,16 @@ type Client struct {
 	Server string
 	// HTTP overrides the transport (default http.DefaultClient).
 	HTTP *http.Client
-	// ClientID is the tenant identity sent as the X-Grid-Client header;
-	// empty means the server's shared anonymous tenant.
-	ClientID string
 	// Trace annotates every batch this client submits with trace context
 	// (the X-Grid-Trace header). The federation sets a steal origin here
 	// when re-submitting stolen work, so the hop is recorded in the
 	// thief's trace ring; ordinary clients leave it empty.
 	Trace string
-	// Backoff shapes admission-refusal retries (zero value = defaults).
-	Backoff Backoff
 	// PeerSecret signs requests to the authenticated peer seam (today
 	// only PeerStatus needs it) with the federation's shared secret; on
 	// a server without WithPeerSecret it is simply ignored. The client
 	// and worker endpoints never require it.
 	PeerSecret string
-	// Rand seeds the retry jitter; nil uses a time-seeded private
-	// source. Tests inject a seeded one for deterministic schedules.
-	Rand *rand.Rand
-
-	randMu   sync.Mutex
-	rng      *rand.Rand
-	gateOnce sync.Once
-	gate     chan struct{}
 }
 
 func (c *Client) client() *http.Client {
@@ -89,33 +38,6 @@ func (c *Client) client() *http.Client {
 		return c.HTTP
 	}
 	return http.DefaultClient
-}
-
-// jitter draws uniformly from [0, d).
-func (c *Client) jitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 0
-	}
-	c.randMu.Lock()
-	defer c.randMu.Unlock()
-	if c.rng == nil {
-		if c.Rand != nil {
-			c.rng = c.Rand
-		} else {
-			c.rng = rand.New(rand.NewSource(time.Now().UnixNano()))
-		}
-	}
-	return time.Duration(c.rng.Int63n(int64(d)))
-}
-
-// retryGate is the thundering-herd bound: a buffered-channel semaphore
-// sized to Backoff.MaxConcurrent, held from just before a retry's
-// backoff sleep until its resubmission has been answered.
-func (c *Client) retryGate() chan struct{} {
-	c.gateOnce.Do(func() {
-		c.gate = make(chan struct{}, c.Backoff.withDefaults().MaxConcurrent)
-	})
-	return c.gate
 }
 
 // Submit posts a batch and returns a channel of its results in
@@ -251,88 +173,29 @@ func (c *Client) SubmitStream(ctx context.Context, tasks []Task, onProgress func
 	return out, handle, nil
 }
 
-// postBatch posts one batch body, retrying admission refusals. Transport
-// errors are NOT retried here — the repro dispatcher treats them as
-// federation failover triggers, and retrying inside the client would
-// only delay that. A 429/503 refusal marked retryable sleeps the
-// server's Retry-After hint plus exponential jitter and resubmits, up to
-// Backoff.Retries times, holding a retryGate slot from before the sleep
-// until the resubmission is answered; non-retryable refusals (the batch
-// exceeds a hard cap outright, HTTP 413) fail immediately. The attempt
-// ordinal rides the X-Grid-Retry header for observability.
+// postBatch posts one batch body and returns the open result stream.
+// Nothing is retried here: a transport error is the repro dispatcher's
+// failover trigger, and any non-200 answer is an error carrying the
+// server's message.
 func (c *Client) postBatch(ctx context.Context, body []byte) (*http.Response, error) {
-	bo := c.Backoff.withDefaults()
-	gate := c.retryGate()
-	holding := false
-	release := func() {
-		if holding {
-			<-gate
-			holding = false
-		}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, BaseURL(c.Server)+pathBatch, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
 	}
-	defer release()
-	for attempt := 0; ; attempt++ {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, BaseURL(c.Server)+pathBatch, bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		if c.ClientID != "" {
-			req.Header.Set(ClientHeader, c.ClientID)
-		}
-		if c.Trace != "" {
-			req.Header.Set(TraceHeader, c.Trace)
-		}
-		req.Header.Set(retryHeader, strconv.Itoa(attempt))
-		resp, err := c.client().Do(req)
-		release()
-		if err != nil {
-			return nil, fmt.Errorf("grid: submitting batch: %w", err)
-		}
-		if resp.StatusCode == http.StatusOK {
-			return resp, nil
-		}
+	req.Header.Set("Content-Type", "application/json")
+	if c.Trace != "" {
+		req.Header.Set(TraceHeader, c.Trace)
+	}
+	resp, err := c.client().Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("grid: submitting batch: %w", err)
+	}
+	if resp.StatusCode != http.StatusOK {
 		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		resp.Body.Close()
-		refused := resp.StatusCode == http.StatusTooManyRequests ||
-			resp.StatusCode == http.StatusServiceUnavailable
-		var ref batchRefusal
-		retryable := false
-		retryAfter := time.Duration(0)
-		if json.Unmarshal(raw, &ref) == nil && ref.Error != "" {
-			retryable = ref.Retryable
-			retryAfter = time.Duration(ref.RetryAfterMS) * time.Millisecond
-		} else if refused && resp.Header.Get("Retry-After") != "" {
-			// A refusal stripped of its JSON body (an intermediary, a
-			// fault) still carries the Retry-After header; trust it.
-			retryable = true
-		}
-		if retryAfter <= 0 {
-			if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
-				retryAfter = time.Duration(secs) * time.Second
-			}
-		}
-		if !refused || !retryable || attempt >= bo.Retries {
-			return nil, fmt.Errorf("grid: submitting batch: %s: %s",
-				resp.Status, bytes.TrimSpace(raw))
-		}
-		// Take a retry slot BEFORE sleeping: with the gate full, the wait
-		// for a slot extends the backoff instead of stacking sleepers
-		// that would all wake and resubmit together.
-		select {
-		case gate <- struct{}{}:
-			holding = true
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		window := bo.Base << attempt
-		if window > bo.Max || window <= 0 {
-			window = bo.Max
-		}
-		if !sleepCtx(ctx, retryAfter+c.jitter(window)) {
-			return nil, ctx.Err()
-		}
+		return nil, fmt.Errorf("grid: submitting batch: %s: %s", resp.Status, bytes.TrimSpace(raw))
 	}
+	return resp, nil
 }
 
 // PeerStatus fetches a federation member's load snapshot (identity,

@@ -5,9 +5,8 @@ import "net/http"
 // serveDashboard answers /dashboard with the live grid dashboard: one
 // self-contained HTML page (no external assets, works on an air-gapped
 // grid) that polls the JSON /metrics snapshot every second and redraws
-// in place — fleet and queue tiles, the autoscaler's self-report,
-// per-tenant admission/queue rows with stage latencies, per-batch ETAs,
-// and a progress bar per in-flight job from the same interval
+// in place — fleet and queue tiles, the job stage latencies, per-batch
+// ETAs, and a progress bar per in-flight job from the same interval
 // snapshots the NDJSON streams carry.
 func serveDashboard(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
@@ -43,8 +42,7 @@ const dashboardHTML = `<!DOCTYPE html>
 <body>
 <h1>helper grid <span id="err"></span></h1>
 <div class="tiles" id="tiles"></div>
-<h2>autoscaler</h2><div id="auto" class="muted">no autoscaler attached</div>
-<h2>tenants</h2><div id="tenants" class="muted">none yet</div>
+<h2>stages</h2><div id="stages" class="muted">none yet</div>
 <h2>batches</h2><div id="batches" class="muted">no connected batches</div>
 <h2>in-flight jobs</h2><div id="running" class="muted">idle</div>
 <script>
@@ -70,23 +68,11 @@ function render(m) {
     tile('completed', m.completed) + tile('failed', m.failed) +
     tile('cache hits', m.cache_hits) + tile('store', m.store_entries) +
     tile('steals in/out', m.steals_in + '/' + m.steals_out);
-  if (m.autoscaler) {
-    const a = m.autoscaler;
-    document.getElementById('auto').innerHTML =
-      'supervising ' + a.workers + ' workers, target ' + a.target +
-      ' <span class="muted">(ups ' + a.scale_ups + ', downs ' + a.scale_downs + ')</span>';
-  }
-  if (m.tenants && m.tenants.length) {
-    let h = '<table><tr><th>tenant</th><th>weight</th><th>admitted</th><th>rejected</th>' +
-            '<th>queued</th><th>running</th><th>admission</th><th>exec</th><th>e2e</th></tr>';
-    for (const t of m.tenants) {
-      h += '<tr><td>' + esc(t.id) + '</td><td>' + t.weight + '</td><td>' + t.admitted +
-           '</td><td>' + (t.rejected_rate + t.rejected_quota) + '</td><td>' + t.queued +
-           '</td><td>' + t.running + '</td>' +
-           stageCell(t.stages, 'admission') + stageCell(t.stages, 'exec') +
-           stageCell(t.stages, 'e2e') + '</tr>';
-    }
-    document.getElementById('tenants').innerHTML = h + '</table>';
+  if (m.stages) {
+    document.getElementById('stages').innerHTML =
+      '<table><tr><th>admission</th><th>first progress</th><th>exec</th><th>e2e</th></tr><tr>' +
+      stageCell(m.stages, 'admission') + stageCell(m.stages, 'first_progress') +
+      stageCell(m.stages, 'exec') + stageCell(m.stages, 'e2e') + '</tr></table>';
   }
   if (m.batches && m.batches.length) {
     let h = '<table><tr><th>batch</th><th>pending</th><th>queued</th><th>running</th><th>eta</th></tr>';

@@ -229,176 +229,3 @@ func TestFaultInjectionNoLossNoDoubleCount(t *testing.T) {
 		t.Fatal("fault harness injected nothing; the test proved nothing")
 	}
 }
-
-// admissionFaultTransport bites only /v1/batch: it gauges how many
-// retry resubmissions (X-Grid-Retry > 0) are in flight at once — the
-// thundering-herd measurement — and mangles 429 refusals on the way
-// back. Some lose their JSON body, so the client must fall back to the
-// coarse Retry-After header; some are duplicated, replaying the refused
-// request against the server and returning the replay's answer (a
-// refused batch charges no tokens and holds no quota, so the replay
-// must be harmless — or, if the bucket refilled meanwhile, a clean
-// admission the client consumes as usual).
-type admissionFaultTransport struct {
-	base http.RoundTripper
-
-	mu          sync.Mutex
-	rng         *rand.Rand
-	inflight    int
-	maxInflight int
-	retries     int
-	bodyLost    int
-	duplicated  int
-}
-
-func (ft *admissionFaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.URL.Path != pathBatch {
-		return ft.base.RoundTrip(req)
-	}
-	if a := req.Header.Get(retryHeader); a != "" && a != "0" {
-		ft.mu.Lock()
-		ft.retries++
-		ft.inflight++
-		if ft.inflight > ft.maxInflight {
-			ft.maxInflight = ft.inflight
-		}
-		ft.mu.Unlock()
-		defer func() {
-			ft.mu.Lock()
-			ft.inflight--
-			ft.mu.Unlock()
-		}()
-	}
-	resp, err := ft.base.RoundTrip(req)
-	if err != nil || resp.StatusCode != http.StatusTooManyRequests {
-		return resp, err
-	}
-	ft.mu.Lock()
-	roll := ft.rng.Intn(3)
-	ft.mu.Unlock()
-	switch roll {
-	case 0:
-		// Strip the JSON body; only the Retry-After header survives.
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		resp.Body = io.NopCloser(bytes.NewReader(nil))
-		resp.ContentLength = 0
-		ft.mu.Lock()
-		ft.bodyLost++
-		ft.mu.Unlock()
-	case 1:
-		// Duplicate the refused request; return the replay's answer.
-		if req.GetBody != nil {
-			if body, err := req.GetBody(); err == nil {
-				dup := req.Clone(req.Context())
-				dup.Body = body
-				if r2, err := ft.base.RoundTrip(dup); err == nil {
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-					resp = r2
-					ft.mu.Lock()
-					ft.duplicated++
-					ft.mu.Unlock()
-				}
-			}
-		}
-	}
-	return resp, nil
-}
-
-// TestAdmissionFaultInjection floods a rate-limited tenant with more
-// concurrent batches than its burst admits, through a transport that
-// mangles the 429s (JSON bodies lost, refused requests duplicated).
-// Required: every batch eventually lands and delivers its task exactly
-// once with its own bytes, at most Backoff.MaxConcurrent resubmissions
-// are ever in flight at once (the retry gate — no thundering herd), and
-// the server's tenant counters account every admission and refusal.
-func TestAdmissionFaultInjection(t *testing.T) {
-	srv, ts := testGrid(t,
-		WithLeaseTTL(2*time.Second),
-		WithTenant("stress", TenantLimits{RatePerSec: 50, Burst: 4}),
-	)
-	startWorker(t, ts.URL, echoExec, 2)
-	ft := &admissionFaultTransport{base: http.DefaultTransport, rng: rand.New(rand.NewSource(11))}
-	c := &Client{
-		Server:   ts.URL,
-		ClientID: "stress",
-		HTTP:     &http.Client{Transport: ft},
-		Backoff:  Backoff{Base: 20 * time.Millisecond, Max: 250 * time.Millisecond, Retries: 25, MaxConcurrent: 2},
-		Rand:     rand.New(rand.NewSource(23)),
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	const batches = 12
-	var wg sync.WaitGroup
-	errs := make([]error, batches)
-	results := make([]map[string]TaskResult, batches)
-	for i := 0; i < batches; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			tasks := []Task{mkTask("0", fmt.Sprintf("admit-%d", i))}
-			ch, err := c.Submit(ctx, tasks)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			results[i] = map[string]TaskResult{}
-			for tr := range ch {
-				if _, dup := results[i][tr.ID]; dup {
-					errs[i] = fmt.Errorf("task %s delivered twice", tr.ID)
-					return
-				}
-				results[i][tr.ID] = tr
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("batch %d: %v", i, err)
-		}
-		tr := results[i]["0"]
-		want := payload(fmt.Sprintf("admit-%d", i))
-		if tr.Err != "" || !bytes.Equal(tr.Payload, want) {
-			t.Fatalf("batch %d: bad result %+v", i, tr)
-		}
-	}
-
-	ft.mu.Lock()
-	t.Logf("admission faults: %d retries, %d bodies lost, %d duplicated, max %d resubmissions in flight",
-		ft.retries, ft.bodyLost, ft.duplicated, ft.maxInflight)
-	retries, faults, maxIn := ft.retries, ft.bodyLost+ft.duplicated, ft.maxInflight
-	ft.mu.Unlock()
-	if retries == 0 {
-		t.Fatal("no batch was ever refused; the rate limit never bit")
-	}
-	if faults == 0 {
-		t.Fatal("fault harness injected nothing; the test proved nothing")
-	}
-	if maxIn > 2 {
-		t.Errorf("%d resubmissions in flight at once, want <= 2 (retry gate)", maxIn)
-	}
-
-	m := srv.Metrics()
-	if m.Completed != batches {
-		t.Errorf("completed %d, want %d (exactly-once)", m.Completed, batches)
-	}
-	if m.Rejected == 0 {
-		t.Error("server counted no rejections despite client retries")
-	}
-	var st *TenantMetrics
-	for i := range m.Tenants {
-		if m.Tenants[i].ID == "stress" {
-			st = &m.Tenants[i]
-		}
-	}
-	if st == nil {
-		t.Fatal("tenant stress missing from metrics")
-	}
-	if st.Admitted != batches || st.RejectedRate == 0 {
-		t.Errorf("tenant counters off: admitted=%d (want %d), rejected_rate=%d (want > 0)",
-			st.Admitted, batches, st.RejectedRate)
-	}
-}

@@ -246,24 +246,6 @@ type PeerStatus struct {
 // ID of a /v1/batch stream; /v1/cancel addresses jobs through it.
 const batchHeader = "X-Grid-Batch"
 
-// retryHeader is the request header carrying the client's retry attempt
-// number on a resubmitted /v1/batch (0 on the first try). The server
-// ignores it; tests and operators use it to observe backoff behaviour.
-const retryHeader = "X-Grid-Retry"
-
-// batchRefusal is the JSON body of an admission refusal (HTTP 429 for
-// per-tenant rate/quota rejections, 503 for server-wide overload). The
-// Retry-After header carries the same hint in whole seconds; RetryAfterMS
-// is the precise one. Retryable false means waiting cannot help — the
-// batch exceeds a hard cap outright — and the client fails fast.
-type batchRefusal struct {
-	Error        string `json:"error"`
-	Reason       string `json:"reason"` // "rate" | "quota" | "overload"
-	Tenant       string `json:"tenant,omitempty"`
-	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
-	Retryable    bool   `json:"retryable"`
-}
-
 type batchRequest struct {
 	Jobs []Task `json:"jobs"`
 	// Progress subscribes the stream to interval progress events for its

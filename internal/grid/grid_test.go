@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -572,5 +574,80 @@ func TestBaseURL(t *testing.T) {
 		if got := BaseURL(in); got != want {
 			t.Errorf("BaseURL(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// byteRun streams n copies of one byte without holding them in memory.
+type byteRun struct {
+	b byte
+	n int64
+}
+
+func (r *byteRun) Read(p []byte) (int, error) {
+	if r.n <= 0 {
+		return 0, io.EOF
+	}
+	if int64(len(p)) > r.n {
+		p = p[:r.n]
+	}
+	for i := range p {
+		p[i] = r.b
+	}
+	r.n -= int64(len(p))
+	return len(p), nil
+}
+
+// TestBatchBodyLimit posts a well-formed batch one byte over
+// maxBatchBody and requires a 413 instead of the server buffering and
+// queueing it; a normal batch afterwards must still complete.
+func TestBatchBodyLimit(t *testing.T) {
+	_, ts := testGrid(t, WithLeaseTTL(5*time.Second))
+	startWorker(t, ts.URL, echoExec, 1)
+
+	prefix := `{"jobs":[{"id":"big","payload":"`
+	suffix := `"}]}`
+	fill := int64(maxBatchBody+1) - int64(len(prefix)+len(suffix))
+	body := io.MultiReader(strings.NewReader(prefix), &byteRun{b: 'x', n: fill},
+		strings.NewReader(suffix))
+	resp, err := http.Post(ts.URL+pathBatch, "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-limit batch: %s, want 413", resp.Status)
+	}
+
+	c := &Client{Server: ts.URL}
+	tk := mkTask("0", "after-oversize")
+	ch, err := c.Submit(context.Background(), []Task{tk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr := collectResults(t, ch)["0"]; tr.Err != "" || !bytes.Equal(tr.Payload, tk.Payload) {
+		t.Fatalf("normal batch after the refusal: %+v", tr)
+	}
+}
+
+// TestSubmitRefusalIsError pins the client's one-shot submission: a
+// non-200 batch answer, even one inviting a retry, is returned as an
+// error carrying the status and the server's message, after exactly
+// one request.
+func TestSubmitRefusalIsError(t *testing.T) {
+	var posts atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		posts.Add(1)
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, "grid: try later", http.StatusTooManyRequests)
+	}))
+	defer ts.Close()
+	c := &Client{Server: ts.URL}
+	_, err := c.Submit(context.Background(), []Task{mkTask("0", "refused")})
+	if err == nil || !strings.Contains(err.Error(), "429") || !strings.Contains(err.Error(), "grid: try later") {
+		t.Fatalf("Submit error = %v, want the 429 status and the server's message", err)
+	}
+	if n := posts.Load(); n != 1 {
+		t.Errorf("%d batch posts, want 1", n)
 	}
 }

@@ -3,12 +3,9 @@ package grid
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -77,145 +74,6 @@ func TestQueueOrderSerialProperty(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestWeightedFairShareProperty pins the stride scheduler's weighted
-// fair-share property: three tenants with 3:1:2 weights submit equal
-// backlogs of equal-priority tasks, then one worker drains the queue a
-// single lease at a time, so the grant sequence is exactly the
-// scheduler's decision sequence. Required at every grant k while all
-// three lanes are still backlogged:
-//
-//   - each tenant's grant count stays within ±2 of k·w/W (the stride
-//     bound — proportional shares, not mere round-robin),
-//   - grants within one tenant are strictly FIFO (ordinals 0,1,2,...).
-func TestWeightedFairShareProperty(t *testing.T) {
-	weights := map[string]float64{"alice": 3, "bob": 1, "carol": 2}
-	_, ts := testGrid(t,
-		WithLeaseTTL(5*time.Second),
-		WithTenant("alice", TenantLimits{Weight: 3}),
-		WithTenant("bob", TenantLimits{Weight: 1}),
-		WithTenant("carol", TenantLimits{Weight: 2}),
-	)
-	totalW := 0.0
-	for _, w := range weights {
-		totalW += w
-	}
-	const per = 30
-	var chans []<-chan TaskResult
-	for _, tenant := range []string{"alice", "bob", "carol"} {
-		var tasks []Task
-		for i := 0; i < per; i++ {
-			p := payload(fmt.Sprintf("fair-%s-%d", tenant, i))
-			tasks = append(tasks, Task{ID: fmt.Sprintf("%s-%d", tenant, i),
-				Hash: HashBytes(p), Payload: p})
-		}
-		c := &Client{Server: ts.URL, ClientID: tenant}
-		ch, err := c.Submit(context.Background(), tasks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		chans = append(chans, ch)
-	}
-
-	granted := map[string]int{}
-	for k := 1; k <= 3*per; k++ {
-		lr := leaseRaw(t, ts.URL, "fair", 1)
-		if len(lr.Tasks) != 1 {
-			t.Fatalf("grant %d: got %d tasks, want 1", k, len(lr.Tasks))
-		}
-		tk := lr.Tasks[0]
-		var body struct {
-			Job string `json:"job"`
-		}
-		if err := json.Unmarshal(tk.Payload, &body); err != nil {
-			t.Fatalf("grant %d: undecodable payload %s", k, tk.Payload)
-		}
-		parts := strings.Split(body.Job, "-") // fair-<tenant>-<ordinal>
-		tenant := parts[1]
-		idx, _ := strconv.Atoi(parts[2])
-		if idx != granted[tenant] {
-			t.Fatalf("grant %d: tenant %s got its ordinal %d, want %d (FIFO within tenant)",
-				k, tenant, idx, granted[tenant])
-		}
-		granted[tenant]++
-		// The stride bound only holds while every lane is backlogged;
-		// once a tenant drains, the survivors split the tail among
-		// themselves.
-		backlogged := true
-		for tn := range weights {
-			if granted[tn] >= per {
-				backlogged = false
-			}
-		}
-		if backlogged {
-			for tn, w := range weights {
-				ideal := float64(k) * w / totalW
-				if d := math.Abs(float64(granted[tn]) - ideal); d > 2 {
-					t.Fatalf("after %d grants tenant %s has %d, ideal %.1f (off by %.1f)",
-						k, tn, granted[tn], ideal, d)
-				}
-			}
-		}
-		completeRaw(t, ts.URL, completeRequest{
-			Worker: "fair", ID: tk.ID, Hash: tk.Hash, Result: tk.Payload})
-	}
-	for _, ch := range chans {
-		got := collectResults(t, ch)
-		if len(got) != per {
-			t.Fatalf("tenant stream delivered %d of %d", len(got), per)
-		}
-		for id, tr := range got {
-			if tr.Err != "" {
-				t.Errorf("task %s failed: %s", id, tr.Err)
-			}
-		}
-	}
-}
-
-// TestPriorityDominatesWeight pins the layering of the two orders:
-// priority strictly dominates fair share, so a light tenant's urgent
-// task beats a heavy tenant's backlog regardless of weights.
-func TestPriorityDominatesWeight(t *testing.T) {
-	_, ts := testGrid(t,
-		WithLeaseTTL(5*time.Second),
-		WithTenant("heavy", TenantLimits{Weight: 100}),
-		WithTenant("light", TenantLimits{Weight: 1}),
-	)
-	heavy := &Client{Server: ts.URL, ClientID: "heavy"}
-	var tasks []Task
-	for i := 0; i < 8; i++ {
-		p := payload(fmt.Sprintf("bulk-%d", i))
-		tasks = append(tasks, Task{ID: fmt.Sprintf("%d", i), Hash: HashBytes(p), Payload: p})
-	}
-	hch, err := heavy.Submit(context.Background(), tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	light := &Client{Server: ts.URL, ClientID: "light"}
-	urgent := payload("urgent")
-	lch, err := light.Submit(context.Background(),
-		[]Task{{ID: "u", Hash: HashBytes(urgent), Priority: 3, Payload: urgent}})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	lr := leaseRaw(t, ts.URL, "prio", 1)
-	if len(lr.Tasks) != 1 || !bytes.Equal(lr.Tasks[0].Payload, urgent) {
-		t.Fatalf("first grant was not the urgent task: %+v", lr.Tasks)
-	}
-	completeRaw(t, ts.URL, completeRequest{
-		Worker: "prio", ID: lr.Tasks[0].ID, Hash: lr.Tasks[0].Hash, Result: urgent})
-	for drained := 0; drained < 8; {
-		lr := leaseRaw(t, ts.URL, "prio", 2)
-		for _, tk := range lr.Tasks {
-			drained++
-			completeRaw(t, ts.URL, completeRequest{
-				Worker: "prio", ID: tk.ID, Hash: tk.Hash, Result: tk.Payload})
-		}
-	}
-	collectResults(t, hch)
-	collectResults(t, lch)
 }
 
 // TestQueueConcurrentInterleavings is the chaos property (run under

@@ -3,7 +3,9 @@ package grid
 import (
 	"bufio"
 	"bytes"
+	"container/heap"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -70,12 +72,6 @@ type Metrics struct {
 	// profile (its caches are warm), a miss is any other profiled grant.
 	AffinityHits   uint64 `json:"affinity_hits"`
 	AffinityMisses uint64 `json:"affinity_misses"`
-	// Admission control: Rejected counts whole-batch 429 refusals
-	// (per-tenant rate limits and pending-work quotas, summed over
-	// tenants — the per-reason split is in Tenants), Overloaded counts
-	// 503s from the server-wide WithMaxQueue backpressure bound.
-	Rejected   uint64 `json:"rejected"`
-	Overloaded uint64 `json:"overloaded"`
 	// Point-in-time gauges. Workers counts simulation workers only
 	// (federated peers holding stolen leases are excluded); Peers is the
 	// known federation peer count, 0 on an unfederated server.
@@ -103,19 +99,16 @@ type Metrics struct {
 	// Batches is the progress-driven ETA of every connected batch
 	// stream, coarsest first (see BatchETA).
 	Batches []BatchETA `json:"batches,omitempty"`
-	// Tenants is the per-tenant slice of the multi-tenant surface:
-	// admission counters, live queued/running gauges and quota holds,
-	// sorted by tenant ID.
-	Tenants []TenantMetrics `json:"tenants,omitempty"`
+	// Stages summarizes the per-stage job latencies (stageOrder keys:
+	// admission, first_progress, exec, e2e); the full histograms are on
+	// the Prometheus endpoint as grid_stage_ms.
+	Stages map[string]LatencySummary `json:"stages,omitempty"`
 	// LeaseWaits summarizes queue latency — enqueue (or requeue) to
 	// lease grant — of every grant so far; the full histogram is on the
 	// Prometheus endpoint.
 	LeaseWaits *LatencySummary `json:"lease_waits,omitempty"`
 	// Trace is the tracer's ring occupancy when tracing is enabled.
 	Trace *TraceStats `json:"trace,omitempty"`
-	// Autoscaler is the supervisor's latest self-report when one is
-	// attached (see Autoscaler).
-	Autoscaler *AutoscaleStats `json:"autoscaler,omitempty"`
 }
 
 // LatencySummary is the JSON face of the lease-wait histogram.
@@ -195,10 +188,10 @@ func WithMaxHops(n int) ServerOption {
 	}
 }
 
-// WithLogger attaches a structured logger: admission refusals,
-// overload backpressure, lease reassignments and task failures are
-// logged at the levels an operator would expect (warn for refusals and
-// reassignments, error for failures). The default is no logging — the
+// WithLogger attaches a structured logger: peer-auth refusals, lease
+// reassignments and task failures are logged at the levels an operator
+// would expect (warn for refusals and reassignments, error for
+// failures). The default is no logging — the
 // embedded in-process grids (tests, `sweep -grid :0`) stay quiet.
 func WithLogger(l *slog.Logger) ServerOption {
 	return func(s *Server) { s.log = l }
@@ -239,7 +232,6 @@ type Server struct {
 	leaseTTL    time.Duration
 	maxAttempts int
 	maxHops     int
-	maxQueue    int
 	log         *slog.Logger
 	traceCap    int
 	traceSpill  io.Writer
@@ -251,18 +243,12 @@ type Server struct {
 	// leaf lock, taken under s.mu but never the other way around.
 	tracer *Tracer
 
-	// Tenant configuration is written only by options (before the
-	// server serves) and read under mu afterwards.
-	tenantLimits   map[string]TenantLimits
-	tenantDefaults TenantLimits
-
-	mu      sync.Mutex
-	store   Storage
-	byID    map[string]*task
-	byHash  map[string]*task
-	queue   *fairQueue
-	tenants map[string]*tenantState
-	seq     uint64
+	mu     sync.Mutex
+	store  Storage
+	byID   map[string]*task
+	byHash map[string]*task
+	queue  taskHeap
+	seq    uint64
 	// wake is closed and replaced whenever work is queued, releasing
 	// long-polling lease requests.
 	wake    chan struct{}
@@ -273,7 +259,7 @@ type Server struct {
 	batchSeq uint64
 	// avgTaskDur is an EWMA of completed task wall durations (first
 	// lease to completion), the fleet-typical time that calibrates batch
-	// ETAs and Retry-After hints. Zero until the first completion.
+	// ETAs. Zero until the first completion.
 	avgTaskDur time.Duration
 
 	submitted, coalesced      uint64
@@ -286,7 +272,6 @@ type Server struct {
 	stealReturns              uint64
 	affinityHits              uint64
 	affinityMisses            uint64
-	overloaded                uint64
 	// Lease-wait histogram: time from (re)enqueue to grant, in the
 	// latencyBucketsMS buckets plus +Inf, with sum/count/max for the
 	// JSON summary.
@@ -300,13 +285,9 @@ type Server struct {
 	// authRejects counts 403s from the peer-auth gate. Atomic because
 	// rejections happen before any handler takes s.mu.
 	authRejects atomic.Uint64
-	// stageHists are the per-tenant per-stage latency histograms
-	// (stageOrder names the stages) behind grid_stage_ms and
-	// TenantMetrics.Stages.
-	stageHists map[string]map[string]*stageHist
-	// autoStats is the attached Autoscaler's latest self-report (pushed
-	// via SetAutoscaleStats, so metrics never take two locks).
-	autoStats *AutoscaleStats
+	// stageHists are the per-stage latency histograms (stageOrder names
+	// the stages) behind grid_stage_ms and Metrics.Stages.
+	stageHists map[string]*stageHist
 	// peerCount mirrors the attached Federation's live peer set size for
 	// the Peers gauge (SetPeerCount).
 	peerCount  int
@@ -363,29 +344,19 @@ func (w *workerState) noteProfile(profile string) {
 // done with it.
 func NewServer(opts ...ServerOption) *Server {
 	s := &Server{
-		leaseTTL:     5 * time.Second,
-		maxAttempts:  5,
-		maxHops:      2,
-		store:        NewStore(),
-		byID:         map[string]*task{},
-		byHash:       map[string]*task{},
-		tenantLimits: map[string]TenantLimits{},
-		tenants:      map[string]*tenantState{},
-		wake:         make(chan struct{}),
-		workers:      map[string]*workerState{},
-		batches:      map[string]*batch{},
-		stageHists:   map[string]map[string]*stageHist{},
-		closed:       make(chan struct{}),
-		reaperDone:   make(chan struct{}),
+		leaseTTL:    5 * time.Second,
+		maxAttempts: 5,
+		maxHops:     2,
+		store:       NewStore(),
+		byID:        map[string]*task{},
+		byHash:      map[string]*task{},
+		wake:        make(chan struct{}),
+		workers:     map[string]*workerState{},
+		batches:     map[string]*batch{},
+		stageHists:  map[string]*stageHist{},
+		closed:      make(chan struct{}),
+		reaperDone:  make(chan struct{}),
 	}
-	// The fair queue resolves weights through the live tenant table; it is
-	// only ever consulted under s.mu, like the table itself.
-	s.queue = newFairQueue(func(tenant string) float64 {
-		if ts := s.tenants[tenant]; ts != nil {
-			return ts.limits.weight()
-		}
-		return 1
-	})
 	for _, o := range opts {
 		o(s)
 	}
@@ -410,15 +381,15 @@ func (s *Server) Close() {
 // Tracer exposes the lifecycle trace ring (nil when disabled).
 func (s *Server) Tracer() *Tracer { return s.tracer }
 
-// The span-tree stage names of the per-tenant latency histograms:
+// The span-tree stage names of the stage latency histograms:
 // admission (batch arrival to enqueue, store lookup included), queue
 // wait lives in the lease-wait histogram, first_progress (lease to the
 // first interval snapshot), exec (last lease to completion) and e2e
 // (batch arrival to completion).
 var stageOrder = []string{"admission", "first_progress", "exec", "e2e"}
 
-// stageHist is one per-tenant per-stage latency histogram, sharing the
-// lease-wait bucket bounds. Mutated under s.mu.
+// stageHist is one per-stage latency histogram, sharing the lease-wait
+// bucket bounds. Mutated under s.mu.
 type stageHist struct {
 	buckets [14]uint64
 	sumMS   float64
@@ -447,18 +418,12 @@ func (h *stageHist) summary() LatencySummary {
 	return LatencySummary{Count: h.count, MeanMS: h.sumMS / float64(h.count), MaxMS: h.maxMS}
 }
 
-// observeStageLocked folds one stage latency into the tenant's
-// histogram set.
-func (s *Server) observeStageLocked(tenant, stage string, d time.Duration) {
-	byStage := s.stageHists[tenant]
-	if byStage == nil {
-		byStage = map[string]*stageHist{}
-		s.stageHists[tenant] = byStage
-	}
-	h := byStage[stage]
+// observeStageLocked folds one stage latency into its histogram.
+func (s *Server) observeStageLocked(stage string, d time.Duration) {
+	h := s.stageHists[stage]
 	if h == nil {
 		h = &stageHist{}
-		byStage[stage] = h
+		s.stageHists[stage] = h
 	}
 	h.observe(d)
 }
@@ -493,7 +458,6 @@ func (s *Server) metricsLocked() Metrics {
 		StealsIn:        s.stealsIn,
 		AffinityHits:    s.affinityHits,
 		AffinityMisses:  s.affinityMisses,
-		Overloaded:      s.overloaded,
 		Peers:           s.peerCount,
 		StoreEntries:    entries,
 		StealReturns:    s.stealReturns,
@@ -509,19 +473,6 @@ func (s *Server) metricsLocked() Metrics {
 		m.StoreReplication = sh.Replication
 		m.StoreShardMembers = sh.Members
 	}
-	// Per-tenant queued/running gauges: each live subscription counts for
-	// the batch's tenant (a coalesced task can serve several tenants at
-	// once, and each holds quota for its own subscription).
-	type gauges struct{ queued, running int }
-	liveSubs := map[*tenantState]*gauges{}
-	gaugeFor := func(ts *tenantState) *gauges {
-		g := liveSubs[ts]
-		if g == nil {
-			g = &gauges{}
-			liveSubs[ts] = g
-		}
-		return g
-	}
 	for _, t := range s.byID {
 		if t.worker != "" {
 			m.Leased++
@@ -531,50 +482,19 @@ func (s *Server) metricsLocked() Metrics {
 		} else if !t.cancelled {
 			m.QueueDepth++
 		}
-		for _, sub := range t.subs {
-			if ts := sub.batch.tenant; ts != nil {
-				if t.worker != "" {
-					gaugeFor(ts).running++
-				} else {
-					gaugeFor(ts).queued++
-				}
-			}
+	}
+	if len(s.stageHists) > 0 {
+		m.Stages = make(map[string]LatencySummary, len(s.stageHists))
+		for stage, h := range s.stageHists {
+			m.Stages[stage] = h.summary()
 		}
 	}
-	for _, ts := range s.tenants {
-		m.Rejected += ts.rejectedRate + ts.rejectedQuota
-		tm := TenantMetrics{
-			ID:            ts.id,
-			Weight:        ts.limits.weight(),
-			Admitted:      ts.admitted,
-			RejectedRate:  ts.rejectedRate,
-			RejectedQuota: ts.rejectedQuota,
-			PendingBytes:  ts.pendingBytes,
-			Completed:     ts.completed,
-			Failed:        ts.failed,
-		}
-		if g := liveSubs[ts]; g != nil {
-			tm.Queued, tm.Running = g.queued, g.running
-		}
-		if byStage := s.stageHists[ts.id]; len(byStage) > 0 {
-			tm.Stages = map[string]LatencySummary{}
-			for stage, h := range byStage {
-				tm.Stages[stage] = h.summary()
-			}
-		}
-		m.Tenants = append(m.Tenants, tm)
-	}
-	sort.Slice(m.Tenants, func(i, j int) bool { return m.Tenants[i].ID < m.Tenants[j].ID })
 	if s.latCount > 0 {
 		m.LeaseWaits = &LatencySummary{
 			Count:  s.latCount,
 			MeanMS: s.latSumMS / float64(s.latCount),
 			MaxMS:  s.latMaxMS,
 		}
-	}
-	if s.autoStats != nil {
-		st := *s.autoStats
-		m.Autoscaler = &st
 	}
 	if s.tracer != nil {
 		st := s.tracer.Stats()
@@ -683,16 +603,6 @@ func (s *Server) freeCapacityLocked() int {
 		}
 	}
 	return free
-}
-
-// SetAutoscaleStats publishes the attached Autoscaler's latest
-// self-report into /metrics. Pushed by the autoscaler tick (rather than
-// pulled by metrics) so the server lock and the autoscaler lock never
-// nest in both orders.
-func (s *Server) SetAutoscaleStats(st AutoscaleStats) {
-	s.mu.Lock()
-	s.autoStats = &st
-	s.mu.Unlock()
 }
 
 // recordLeaseWaitLocked folds one enqueue-to-grant wait into the lease
@@ -944,71 +854,33 @@ func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
 // client exhaust memory).
 const maxStorePayload = 64 << 20
 
-// subscribeLocked attaches one (batch, job ID) subscription to a task,
-// charging the payload bytes against the batch tenant's pending quota
-// (released by subscriber.release on delivery or drop).
-func (s *Server) subscribeLocked(t *task, b *batch, jobID string) {
-	n := int64(len(t.payload))
-	t.subs = append(t.subs, subscriber{batch: b, jobID: jobID, bytes: n})
-	if ts := b.tenant; ts != nil {
-		ts.pendingJobs++
-		ts.pendingBytes += n
-	}
-}
-
-// refuseBatch answers an admission refusal: the structured JSON body
-// plus, when a retry can succeed, a Retry-After header in whole seconds
-// (ceiling, so a 10ms token deficit still reads as 1 for header-only
-// clients; grid.Client uses the precise RetryAfterMS).
-func refuseBatch(w http.ResponseWriter, status int, ref batchRefusal) {
-	if ref.Retryable {
-		secs := (ref.RetryAfterMS + 999) / 1000
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(ref)
-}
+// maxBatchBody bounds one /v1/batch request body. A ladder job encodes
+// to about 1.2 KB of JSON, so 64 MB holds tens of thousands of jobs per
+// batch while keeping a rogue client from exhausting server memory.
+const maxBatchBody = 64 << 20
 
 // handleBatch accepts a job batch and streams its results back as
 // NDJSON, one TaskResult per line, flushed as they land. The request
 // context is the batch's lifetime: when the client disconnects, queued
 // work is abandoned and leased work is cancelled at the owning worker's
-// next heartbeat.
-//
-// Admission control runs first, all-or-nothing over the whole batch:
-// the submitting tenant (X-Grid-Client, defaulted) must clear the
-// server-wide queue bound (503) and its own token bucket and pending
-// quotas (429) before any job is looked at. The check deliberately
-// counts every non-empty job — including ones that would turn out to be
-// cache hits — because admission is the cheap gate in front of the
-// cache, not behind it.
+// next heartbeat. A body over maxBatchBody is refused 413 before any
+// job is looked at.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	admittedAt := time.Now()
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("grid: bad batch: %v", err), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("grid: bad batch: %v", err), status)
 		return
-	}
-	tenantID := r.Header.Get(ClientHeader)
-	if tenantID == "" {
-		tenantID = DefaultTenant
 	}
 	// A federated thief re-submitting stolen work annotates the steal
 	// origin in X-Grid-Trace; the hop lands in this server's ring so a
 	// merged trace shows where the job came from.
 	origin, stolenIn := parseTraceOrigin(r.Header.Get(TraceHeader))
-	admitJobs := 0
-	var admitBytes int64
-	for _, j := range req.Jobs {
-		if len(j.Payload) > 0 {
-			admitJobs++
-			admitBytes += int64(len(j.Payload))
-		}
-	}
 	b := &batch{ch: make(chan TaskResult, len(req.Jobs))}
 	if req.Progress {
 		// Progress sends are non-blocking (lossy); the buffer just smooths
@@ -1034,10 +906,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if t.cancelled && t.worker != "" {
 			t.worker = ""
 			t.enqueuedAt = time.Now()
-			s.queue.Push(t)
+			heap.Push(&s.queue, t)
 		}
 		t.cancelled = false
-		s.subscribeLocked(t, b, jobID)
+		t.subs = append(t.subs, subscriber{batch: b, jobID: jobID})
 		s.coalesced++
 	}
 
@@ -1053,63 +925,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var lookups []lookup
 	lookupIdx := map[string]int{}
 	s.mu.Lock()
-	ts := s.tenantLocked(tenantID)
-	b.tenant = ts
-	if admitJobs > 0 {
-		if s.maxQueue > 0 && s.queue.Len()+admitJobs > s.maxQueue {
-			// Server-wide backpressure: conservative (cache hits count
-			// against the bound too), but overload is exactly when the
-			// cheap refusal must win over the precise one.
-			s.overloaded++
-			depth := s.queue.Len()
-			retry := s.avgTaskDur
-			s.mu.Unlock()
-			if retry <= 0 {
-				retry = time.Second
-			}
-			if s.log != nil {
-				s.log.Warn("batch refused: server overloaded",
-					"tenant", tenantID, "jobs", admitJobs, "queue", depth, "max_queue", s.maxQueue)
-			}
-			refuseBatch(w, http.StatusServiceUnavailable, batchRefusal{
-				Error: fmt.Sprintf("grid: server overloaded (queue %d + batch %d jobs > max %d)",
-					depth, admitJobs, s.maxQueue),
-				Reason:       "overload",
-				Tenant:       tenantID,
-				RetryAfterMS: retry.Milliseconds(),
-				Retryable:    true,
-			})
-			return
-		}
-		ok, kind, reason, retryAfter, retryable := ts.admitLocked(time.Now(), admitJobs, admitBytes)
-		if !ok {
-			if kind == "rate" {
-				ts.rejectedRate++
-			} else {
-				ts.rejectedQuota++
-			}
-			s.mu.Unlock()
-			if s.log != nil {
-				s.log.Warn("batch refused: tenant limit",
-					"tenant", tenantID, "kind", kind, "reason", reason,
-					"jobs", admitJobs, "bytes", admitBytes, "retry_after", retryAfter)
-			}
-			status := http.StatusTooManyRequests
-			if !retryable {
-				// Waiting cannot help: the batch exceeds a hard cap outright.
-				status = http.StatusRequestEntityTooLarge
-			}
-			refuseBatch(w, status, batchRefusal{
-				Error:        "grid: " + reason,
-				Reason:       kind,
-				Tenant:       tenantID,
-				RetryAfterMS: retryAfter.Milliseconds(),
-				Retryable:    retryable,
-			})
-			return
-		}
-		ts.admitted += uint64(admitJobs)
-	}
 	s.batchSeq++
 	b.id = fmt.Sprintf("b%d", s.batchSeq)
 	s.batches[b.id] = b
@@ -1125,8 +940,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if hash == "" {
 			hash = HashBytes(j.Payload)
 		}
-		s.tracer.Record(TraceEvent{Trace: hash, Stage: StageAdmitted,
-			Batch: b.id, Tenant: tenantID})
+		s.tracer.Record(TraceEvent{Trace: hash, Stage: StageAdmitted, Batch: b.id})
 		if stolenIn {
 			s.tracer.Record(TraceEvent{Trace: hash, Stage: StageStolen,
 				Batch: b.id, Peer: origin.peer, Hop: origin.hop,
@@ -1163,8 +977,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	for i, l := range lookups {
 		if hit[i] {
-			s.tracer.Record(TraceEvent{Trace: l.hash, Stage: StageCacheHit,
-				Batch: b.id, Tenant: tenantID})
+			s.tracer.Record(TraceEvent{Trace: l.hash, Stage: StageCacheHit, Batch: b.id})
 			immediate = append(immediate, TaskResult{ID: l.first.ID, Hash: l.hash, Cached: true, Payload: hits[i]})
 			for _, id := range l.dups {
 				immediate = append(immediate, TaskResult{ID: id, Hash: l.hash, Cached: true, Payload: hits[i]})
@@ -1174,7 +987,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if t, ok := s.byHash[l.hash]; ok {
 			coalesceLocked(t, l.first.ID)
 			for _, id := range l.dups {
-				s.subscribeLocked(t, b, id)
+				t.subs = append(t.subs, subscriber{batch: b, jobID: id})
 				pending++
 			}
 			continue
@@ -1188,7 +1001,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			payload:    l.first.Payload,
 			priority:   l.first.Priority,
 			seq:        s.seq,
-			tenant:     ts.id,
 			profile:    l.first.Profile,
 			hops:       l.first.Hops,
 			enqueuedAt: now,
@@ -1196,15 +1008,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		s.tracer.Record(TraceEvent{Trace: l.hash, Stage: StageEnqueued,
 			Task: t.id, Batch: b.id})
-		s.observeStageLocked(ts.id, "admission", now.Sub(admittedAt))
-		s.subscribeLocked(t, b, l.first.ID)
+		s.observeStageLocked("admission", now.Sub(admittedAt))
+		t.subs = append(t.subs, subscriber{batch: b, jobID: l.first.ID})
 		for _, id := range l.dups {
-			s.subscribeLocked(t, b, id)
+			t.subs = append(t.subs, subscriber{batch: b, jobID: id})
 			pending++
 		}
 		s.byID[t.id] = t
 		s.byHash[l.hash] = t
-		s.queue.Push(t)
+		heap.Push(&s.queue, t)
 	}
 	if pending > 0 {
 		s.wakeLocked()
@@ -1277,7 +1089,6 @@ func (s *Server) dropSubsLocked(drop func(*task, subscriber) bool, b *batch, onD
 		kept := t.subs[:0]
 		for _, sub := range t.subs {
 			if sub.batch == b && drop(t, sub) {
-				sub.release()
 				if onDrop != nil {
 					onDrop(t, sub)
 				}
@@ -1357,7 +1168,7 @@ func (s *Server) grantLocked(req leaseRequest) []Task {
 	var out []Task
 	now := time.Now()
 	for len(out) < k && s.queue.Len() > 0 {
-		t := s.queue.Pop()
+		t := heap.Pop(&s.queue).(*task)
 		if t.cancelled && len(t.subs) == 0 {
 			delete(s.byID, t.id)
 			delete(s.byHash, t.hash)
@@ -1365,7 +1176,7 @@ func (s *Server) grantLocked(req leaseRequest) []Task {
 		}
 		if ws != nil && t.profile != "" && !ws.sawProfile(t.profile) {
 			if alt := s.affineAltLocked(ws, t); alt != nil {
-				s.queue.Push(t)
+				heap.Push(&s.queue, t)
 				t = alt
 			}
 		}
@@ -1379,9 +1190,6 @@ func (s *Server) grantLocked(req leaseRequest) []Task {
 				ws.noteProfile(t.profile)
 			}
 		}
-		// The grant is real: charge the tenant's fair share and record
-		// the queue wait. Discarded pops above cost nothing.
-		s.queue.Charge(t)
 		if !t.enqueuedAt.IsZero() {
 			s.recordLeaseWaitLocked(now.Sub(t.enqueuedAt))
 		}
@@ -1406,19 +1214,19 @@ func (s *Server) grantLocked(req leaseRequest) []Task {
 // caller grants it in t's place). Nil when no affine candidate exists.
 func (s *Server) affineAltLocked(ws *workerState, t *task) *task {
 	var best *task
-	s.queue.each(func(c *task) {
+	for _, c := range s.queue {
 		if c.priority != t.priority || c.profile == "" || !ws.sawProfile(c.profile) {
-			return
+			continue
 		}
 		if c.cancelled && len(c.subs) == 0 {
-			return
+			continue
 		}
 		if best == nil || c.seq < best.seq {
 			best = c
 		}
-	})
+	}
 	if best != nil {
-		s.queue.Remove(best)
+		heap.Remove(&s.queue, best.heapIndex)
 	}
 	return best
 }
@@ -1453,7 +1261,7 @@ func (s *Server) StealGrant(peer string, max int) ([]Task, int64) {
 	var out []Task
 	var setAside []*task
 	for len(out) < max && s.queue.Len() > 0 {
-		t := s.queue.Pop()
+		t := heap.Pop(&s.queue).(*task)
 		if t.cancelled && len(t.subs) == 0 {
 			delete(s.byID, t.id)
 			delete(s.byHash, t.hash)
@@ -1464,7 +1272,6 @@ func (s *Server) StealGrant(peer string, max int) ([]Task, int64) {
 			setAside = append(setAside, t)
 			continue
 		}
-		s.queue.Charge(t)
 		if !t.enqueuedAt.IsZero() {
 			s.recordLeaseWaitLocked(now.Sub(t.enqueuedAt))
 		}
@@ -1486,7 +1293,7 @@ func (s *Server) StealGrant(peer string, max int) ([]Task, int64) {
 			Payload: t.payload, Attempt: t.attempts, Profile: t.profile, Hops: t.hops})
 	}
 	for _, t := range setAside {
-		s.queue.Push(t)
+		heap.Push(&s.queue, t)
 	}
 	return out, ttl
 }
@@ -1522,7 +1329,7 @@ func (s *Server) ReleaseStolen(peer, id string, attempt int) bool {
 	t.enqueuedAt = time.Now()
 	s.tracer.Record(TraceEvent{Trace: t.hash, Stage: StageEnqueued,
 		Task: t.id, Detail: "steal released"})
-	s.queue.Push(t)
+	heap.Push(&s.queue, t)
 	s.wakeLocked()
 	return true
 }
@@ -1573,7 +1380,7 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		if t.firstProgress.IsZero() {
 			t.firstProgress = now
 			if !t.leasedAt.IsZero() {
-				s.observeStageLocked(t.tenant, "first_progress", now.Sub(t.leasedAt))
+				s.observeStageLocked("first_progress", now.Sub(t.leasedAt))
 			}
 		}
 		s.tracer.Record(TraceEvent{Trace: t.hash, Stage: StageProgress,
@@ -1710,7 +1517,7 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if t.heapIndex >= 0 {
-		s.queue.Remove(t)
+		heap.Remove(&s.queue, t.heapIndex)
 	}
 	delete(s.byID, t.id)
 	delete(s.byHash, t.hash)
@@ -1733,10 +1540,10 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		s.tracer.Record(TraceEvent{Trace: t.hash, Stage: StageCompleted,
 			Task: t.id, Worker: req.Worker, Attempt: req.Attempt})
 		if !t.leasedAt.IsZero() {
-			s.observeStageLocked(t.tenant, "exec", now.Sub(t.leasedAt))
+			s.observeStageLocked("exec", now.Sub(t.leasedAt))
 		}
 		if !t.admittedAt.IsZero() {
-			s.observeStageLocked(t.tenant, "e2e", now.Sub(t.admittedAt))
+			s.observeStageLocked("e2e", now.Sub(t.admittedAt))
 		}
 		t.deliver(TaskResult{Hash: t.hash, Payload: req.Result})
 	} else {
@@ -1816,7 +1623,7 @@ func (s *Server) expireLeases() {
 		t.enqueuedAt = now
 		s.tracer.Record(TraceEvent{Trace: t.hash, Stage: StageEnqueued,
 			Task: t.id, Detail: "reassigned"})
-		s.queue.Push(t)
+		heap.Push(&s.queue, t)
 		requeued = true
 	}
 	if requeued {

@@ -15,7 +15,7 @@ import (
 
 // Job lifecycle tracing. Every job carries a trace context — the trace
 // ID is its content hash (canonical Job.Hash), so identical jobs from
-// any batch, any tenant, any federation member share one trace — and
+// any batch, any client, any federation member share one trace — and
 // the server records a typed TraceEvent at each lifecycle stage into a
 // bounded in-memory ring (optionally spilled as NDJSON). The span tree
 // of a job is reconstructed by collecting its events, across federated
@@ -26,7 +26,7 @@ import (
 
 // The lifecycle stage names of a TraceEvent.
 const (
-	// StageAdmitted marks a job clearing admission control into a batch.
+	// StageAdmitted marks a job arriving at the server in a batch.
 	StageAdmitted = "admitted"
 	// StageEnqueued marks a task entering the work queue: on creation,
 	// and again on every requeue (Detail says why: "reassigned",
@@ -59,8 +59,6 @@ type TraceEvent struct {
 	// exists.
 	Batch string `json:"batch,omitempty"`
 	Task  string `json:"task,omitempty"`
-	// Tenant is the admitting client's identity on batch-scoped stages.
-	Tenant string `json:"tenant,omitempty"`
 	// Worker and Attempt identify the lease on leased/progress/terminal
 	// stages.
 	Worker  string `json:"worker,omitempty"`

@@ -344,13 +344,13 @@ func TestLeasePollEmpty(t *testing.T) {
 	}
 }
 
-// TestStageHistograms checks that a completed job lands in the tenant's
+// TestStageHistograms checks that a completed job lands in the server's
 // per-stage latency summaries and that the Prometheus exposition grew
 // the grid_stage_ms histogram and the empty-poll counter.
 func TestStageHistograms(t *testing.T) {
-	srv, ts := testGrid(t, WithLeaseTTL(time.Second), WithTenant("alice", TenantLimits{Weight: 2}))
+	srv, ts := testGrid(t, WithLeaseTTL(time.Second))
 	startWorker(t, ts.URL, echoExec, 2)
-	c := &Client{Server: ts.URL, ClientID: "alice"}
+	c := &Client{Server: ts.URL}
 	ch, err := c.Submit(context.Background(), []Task{mkTask("0", "trace-stages")})
 	if err != nil {
 		t.Fatal(err)
@@ -358,19 +358,10 @@ func TestStageHistograms(t *testing.T) {
 	collectResults(t, ch)
 
 	m := srv.Metrics()
-	var alice *TenantMetrics
-	for i := range m.Tenants {
-		if m.Tenants[i].ID == "alice" {
-			alice = &m.Tenants[i]
-		}
-	}
-	if alice == nil {
-		t.Fatalf("tenant alice missing from %+v", m.Tenants)
-	}
 	for _, stage := range []string{"admission", "exec", "e2e"} {
-		s, ok := alice.Stages[stage]
+		s, ok := m.Stages[stage]
 		if !ok || s.Count == 0 {
-			t.Errorf("stage %s has no observations: %+v", stage, alice.Stages)
+			t.Errorf("stage %s has no observations: %+v", stage, m.Stages)
 		}
 	}
 	if m.Trace == nil || m.Trace.Total == 0 {
@@ -387,8 +378,8 @@ func TestStageHistograms(t *testing.T) {
 	resp.Body.Close()
 	prom := string(raw)
 	for _, want := range []string{
-		`grid_stage_ms_bucket{tenant="alice",stage="e2e",le="+Inf"}`,
-		`grid_stage_ms_count{tenant="alice",stage="exec"}`,
+		`grid_stage_ms_bucket{stage="e2e",le="+Inf"}`,
+		`grid_stage_ms_count{stage="exec"}`,
 		"grid_lease_poll_empty_total",
 		"grid_trace_ring_events",
 		"grid_trace_events_total",

@@ -78,8 +78,8 @@ func (w *Worker) drainChan() chan struct{} {
 
 // Drain asks a running worker to wind down gracefully: stop taking new
 // leases, finish and post everything in flight, then have Run return
-// nil. The reap path of autoscaling and `helperd work`'s SIGTERM
-// handler both use it — a drained worker never abandons a lease.
+// nil. `helperd work`'s SIGTERM handler uses it, so stopping a worker
+// process gracefully never abandons a lease.
 // Idempotent and safe from any goroutine.
 func (w *Worker) Drain() {
 	w.drainStop.Do(func() { close(w.drainChan()) })

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -78,26 +77,6 @@ func profileKey(j Job) string {
 // interactive probe can overtake a bulk sweep sharing the same grid.
 func WithGridPriority(p int) Option {
 	return func(r *Runner) { r.gridPriority = p }
-}
-
-// WithGridClientID names the tenant this Runner submits as (the
-// X-Grid-Client header): a multi-tenant grid server rate-limits,
-// quota-checks and fair-shares by it. Empty (the default) submits as
-// the server's shared anonymous tenant.
-func WithGridClientID(id string) Option {
-	return func(r *Runner) { r.gridClientID = id }
-}
-
-// GridBackoff shapes how grid submissions retry admission refusals
-// (HTTP 429/503 + Retry-After from a multi-tenant server); see the
-// field docs on the underlying type. The zero value means the
-// defaults.
-type GridBackoff = grid.Backoff
-
-// WithGridBackoff overrides the admission-refusal retry policy for
-// this Runner's grid submissions.
-func WithGridBackoff(b GridBackoff) Option {
-	return func(r *Runner) { r.gridBackoff = b }
 }
 
 // WithGridPeerSecret holds the federation's shared peer secret (the
@@ -293,8 +272,7 @@ func (r *Runner) submitGroup(ctx context.Context, peers []string, tasks []grid.T
 		if len(remaining) == 0 || ctx.Err() != nil {
 			return
 		}
-		client := &grid.Client{Server: peer, ClientID: r.gridClientID,
-			Backoff: r.gridBackoff, PeerSecret: r.gridSecret}
+		client := &grid.Client{Server: peer, PeerSecret: r.gridSecret}
 		var onProgress func(grid.TaskProgress)
 		// The BatchHandle only exists once SubmitStream returns, but the
 		// first progress event can beat it there; the buffered channel
@@ -388,9 +366,9 @@ func (r *Runner) submitGroup(ctx context.Context, peers []string, tasks []grid.T
 // live workers — plus the federation counters (steals, affinity hits,
 // per-batch ETAs). With several peers the counters and gauges are
 // summed across every reachable one (Peers is taken as the max — each
-// member already counts the whole mesh) and the per-task/per-batch
-// lists concatenated; it errors only when no peer answers, or on a
-// Runner without a grid.
+// member already counts the whole mesh), the latency summaries merged
+// count-weighted and the per-task/per-batch lists concatenated; it
+// errors only when no peer answers, or on a Runner without a grid.
 func (r *Runner) GridMetrics(ctx context.Context) (GridMetrics, error) {
 	if r.grid == "" {
 		return GridMetrics{}, fmt.Errorf("repro: runner has no grid (build it with WithGrid)")
@@ -435,8 +413,6 @@ func (r *Runner) GridMetrics(ctx context.Context) (GridMetrics, error) {
 		}
 		agg.AffinityHits += m.AffinityHits
 		agg.AffinityMisses += m.AffinityMisses
-		agg.Rejected += m.Rejected
-		agg.Overloaded += m.Overloaded
 		agg.QueueDepth += m.QueueDepth
 		agg.Leased += m.Leased
 		agg.Workers += m.Workers
@@ -446,23 +422,19 @@ func (r *Runner) GridMetrics(ctx context.Context) (GridMetrics, error) {
 		}
 		agg.Running = append(agg.Running, m.Running...)
 		agg.Batches = append(agg.Batches, m.Batches...)
-		for _, t := range m.Tenants {
-			mergeTenant(&agg, t)
-		}
 		if lw := m.LeaseWaits; lw != nil {
 			if agg.LeaseWaits == nil {
 				agg.LeaseWaits = &grid.LatencySummary{}
 			}
-			// Count-weighted mean; the max of maxes.
-			total := agg.LeaseWaits.Count + lw.Count
-			if total > 0 {
-				agg.LeaseWaits.MeanMS = (agg.LeaseWaits.MeanMS*float64(agg.LeaseWaits.Count) +
-					lw.MeanMS*float64(lw.Count)) / float64(total)
+			mergeLatency(agg.LeaseWaits, *lw)
+		}
+		for stage, st := range m.Stages {
+			if agg.Stages == nil {
+				agg.Stages = map[string]grid.LatencySummary{}
 			}
-			agg.LeaseWaits.Count = total
-			if lw.MaxMS > agg.LeaseWaits.MaxMS {
-				agg.LeaseWaits.MaxMS = lw.MaxMS
-			}
+			sum := agg.Stages[stage]
+			mergeLatency(&sum, st)
+			agg.Stages[stage] = sum
 		}
 		if t := m.Trace; t != nil {
 			if agg.Trace == nil {
@@ -473,41 +445,24 @@ func (r *Runner) GridMetrics(ctx context.Context) (GridMetrics, error) {
 			agg.Trace.Total += t.Total
 			agg.Trace.SpillDropped += t.SpillDropped
 		}
-		if a := m.Autoscaler; a != nil {
-			if agg.Autoscaler == nil {
-				agg.Autoscaler = &grid.AutoscaleStats{}
-			}
-			agg.Autoscaler.ScaleUps += a.ScaleUps
-			agg.Autoscaler.ScaleDowns += a.ScaleDowns
-			agg.Autoscaler.Workers += a.Workers
-			agg.Autoscaler.Target += a.Target
-		}
 	}
 	if reached == 0 {
 		return GridMetrics{}, fmt.Errorf("repro: no grid peer reachable: %w", lastErr)
 	}
-	sort.Slice(agg.Tenants, func(i, j int) bool { return agg.Tenants[i].ID < agg.Tenants[j].ID })
 	return agg, nil
 }
 
-// mergeTenant folds one peer's per-tenant counters into the aggregate
-// by tenant ID (the weight is taken from whichever peer reported it;
-// a well-configured federation gives every peer the same table).
-func mergeTenant(agg *GridMetrics, t grid.TenantMetrics) {
-	for i := range agg.Tenants {
-		if agg.Tenants[i].ID == t.ID {
-			agg.Tenants[i].Admitted += t.Admitted
-			agg.Tenants[i].RejectedRate += t.RejectedRate
-			agg.Tenants[i].RejectedQuota += t.RejectedQuota
-			agg.Tenants[i].Queued += t.Queued
-			agg.Tenants[i].Running += t.Running
-			agg.Tenants[i].PendingBytes += t.PendingBytes
-			agg.Tenants[i].Completed += t.Completed
-			agg.Tenants[i].Failed += t.Failed
-			return
-		}
+// mergeLatency folds one peer's latency summary into the aggregate:
+// count-weighted mean, the max of maxes.
+func mergeLatency(agg *grid.LatencySummary, s grid.LatencySummary) {
+	total := agg.Count + s.Count
+	if total > 0 {
+		agg.MeanMS = (agg.MeanMS*float64(agg.Count) + s.MeanMS*float64(s.Count)) / float64(total)
 	}
-	agg.Tenants = append(agg.Tenants, t)
+	agg.Count = total
+	if s.MaxMS > agg.MaxMS {
+		agg.MaxMS = s.MaxMS
+	}
 }
 
 // GridMetrics is the grid server's counter snapshot (see the field docs

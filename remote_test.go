@@ -505,3 +505,26 @@ func TestWithGridDedupesPeers(t *testing.T) {
 		t.Errorf("single peer: submitted %d, want %d", single.Submitted, fake.Submitted)
 	}
 }
+
+// TestGridMetricsMergesStages pins how GridMetrics folds the per-stage
+// latency summaries of several peers: counts add, the mean is
+// count-weighted and the max is the max of maxes.
+func TestGridMetricsMergesStages(t *testing.T) {
+	peer := func(s grid.LatencySummary) string {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			json.NewEncoder(w).Encode(grid.Metrics{Stages: map[string]grid.LatencySummary{"exec": s}})
+		}))
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	a := peer(grid.LatencySummary{Count: 1, MeanMS: 10, MaxMS: 10})
+	b := peer(grid.LatencySummary{Count: 3, MeanMS: 30, MaxMS: 40})
+	m, err := NewRunner(WithGrid(a + "," + b)).GridMetrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := grid.LatencySummary{Count: 4, MeanMS: 25, MaxMS: 40}
+	if got := m.Stages["exec"]; got != want {
+		t.Errorf("merged exec stage = %+v, want %+v", got, want)
+	}
+}

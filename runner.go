@@ -150,8 +150,6 @@ type Runner struct {
 	grid         string
 	gridPriority int
 	gridProgress func(JobProgress)
-	gridClientID string
-	gridBackoff  GridBackoff
 	gridSecret   string
 }
 

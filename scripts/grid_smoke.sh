@@ -1,31 +1,33 @@
 #!/usr/bin/env sh
 # grid_smoke.sh — end-to-end smoke test of the distributed simulation
-# grid: 1 job server + 2 worker processes + `sweep -grid` over a small
-# job set. Asserts (a) grid-routed results are byte-identical to the
-# local RunBatch output, (b) a rerun is served from the content-addressed
-# result store (cache hits > 0), (c) a worker process being killed
-# mid-study is survived via lease reassignment, (d) a disk-backed
-# server killed with SIGKILL and restarted on the same -store-dir serves
-# the rerun entirely from the recovered cache (0 misses), byte-identical,
-# (e) the federation chaos leg: of two federated servers sharing a
-# -store-shard 2 cache tier, the first-listed member — the one streaming
-# the ladder — is SIGKILLed mid-batch, the client fails the unfinished
-# jobs over to the survivor, and a rerun listing the dead member first
-# is 100% served from the survivor's store — still byte-identical to
-# the local run, and (f) the multi-tenant service leg: an autoscaled
-# server federated over a -store-shard 2 tier, under two tenant
-# identities, survives the SIGKILL of the federation peer streaming
-# its batch (client failover) AND of an autoscaled worker mid-study
-# (the supervisor respawns it), loses no job, enforces the metered
-# tenant's rate limit (429 + client retry), and still produces
-# byte-identical results, (g) the sharded cache leg: a 3-member
-# secreted federation runs with -store-shard 2, the replica holder
-# streaming the ladder is SIGKILLed mid-batch, results stay
-# byte-identical after client failover and the rerun — dead member
-# still listed first — is served 100% from the surviving replicas (no
-# new cache misses), and (h) the auth leg: a peer started with the
-# wrong -peer-secret is refused at the gossip seam (403s counted in
-# peer_auth_rejected) and never joins the membership.
+# grid, driving real `helperd` and `sweep` processes. Legs:
+#   (a) 1 job server + 2 worker processes run a small study through
+#       `sweep -grid`, byte-identical to the local RunBatch output;
+#   (b) a rerun is served from the content-addressed result store
+#       (cache hits > 0);
+#   (c) a worker process SIGKILLed mid-ladder is survived through lease
+#       reassignment, byte-identical;
+#   (d) a disk-backed server SIGKILLed and restarted on the same
+#       -store-dir serves the rerun entirely from the recovered cache
+#       (0 misses), byte-identical;
+#   (e) federation chaos: of two members sharing a -store-shard 2 cache
+#       tier, the first-listed one (streaming the ladder) is SIGKILLed
+#       mid-batch, the client fails the unfinished jobs over to the
+#       survivor, and a rerun listing the dead member first is 100%
+#       served from the survivor's store;
+#   (f) observability: `helperd trace -check` rebuilds complete span
+#       trees for an executed job, a cached rerun and a job stolen
+#       across a federation hop; the NDJSON trace spill streams and
+#       `helperd top -once` renders;
+#   (g) sharded cache: a 3-member secreted federation with -store-shard
+#       2 loses the replica holder streaming the ladder mid-batch,
+#       results stay byte-identical after failover, and the rerun is
+#       served 100% from the surviving replicas (no new misses);
+#   (h) peer auth: a member started with the wrong -peer-secret is
+#       refused at the gossip seam (403s counted in peer_auth_rejected)
+#       and never joins the membership.
+# After the last leg the script stops everything it started and fails
+# if any process running a binary from its build directory survived.
 #
 # Run it via `make grid-smoke`; it builds into a temp dir and cleans up
 # after itself.
@@ -222,76 +224,6 @@ fi
 STEALS=$("$WORKDIR/helperd" metrics -server "127.0.0.1:$PORTA" | grep -o '"steals_out": [0-9]*' | grep -o '[0-9]*')
 echo "grid-smoke: federated rerun 100% from the shared store (steals_out=${STEALS:-0})"
 
-# --- multi-tenant service: autoscaling + quotas + chaos --------------------
-# Server C runs in service mode: it supervises its own worker fleet
-# (min 1, max 3) and meters two tenants — alice (weight 4, unmetered)
-# and bob (weight 1, rate 2 jobs/s, burst 4). Peer D federates with C
-# over a -store-shard 2 cache tier and has no workers of its own; the
-# ladder goes to D, the first-listed member, and C's workers steal it.
-# Mid-ladder, D is SIGKILLed (the client fails the unfinished jobs
-# over to C, whose shard degrades to its local copy) and so is one of
-# C's autoscaled workers (the supervisor must respawn it). No job may
-# be lost and the output must stay byte-identical. Then bob runs the
-# small study twice CONCURRENTLY:
-# two 3-job batches against a burst of 4 guarantee the second one
-# overdraws his token bucket, so the server must answer 429 +
-# Retry-After and the client must retry it to success — quotas
-# enforced, work still byte-identical.
-PORTC=18554
-PORTD=18555
-SVCSTORE="$WORKDIR/svcstore"
-echo "grid-smoke: service-mode server (autoscaled min=1 max=3, tenants alice+bob)"
-"$WORKDIR/helperd" serve -addr "127.0.0.1:$PORTC" -lease 750ms -store-dir "$SVCSTORE" \
-    -min-workers 1 -max-workers 3 -scale-tick 100ms -worker-parallel 2 \
-    -tenants "alice,weight=4;bob,weight=1,rate=2,burst=4" -log warn -store-shard 2 \
-    -self "127.0.0.1:$PORTC" -peers "127.0.0.1:$PORTD" 2>"$WORKDIR/svcC.log" &
-PIDS="$PIDS $!"
-wait_server "$PORTC"
-"$WORKDIR/helperd" serve -addr "127.0.0.1:$PORTD" -lease 750ms -store-shard 2 \
-    -self "127.0.0.1:$PORTD" -peers "127.0.0.1:$PORTC" 2>"$WORKDIR/svcD.log" &
-SVCD_PID=$!
-PIDS="$PIDS $SVCD_PID"
-wait_server "$PORTD"
-
-echo "grid-smoke: SIGKILLing peer D and the autoscaled workers mid-ladder (tenant alice)"
-( sleep 0.6; kill -9 "$SVCD_PID" 2>/dev/null || true
-  pkill -9 -f "$WORKDIR/helperd work .*$PORTC" 2>/dev/null || true ) &
-"$WORKDIR/sweep" -study ladder -n 20000 -grid "127.0.0.1:$PORTD,127.0.0.1:$PORTC" \
-    -grid-client alice > "$WORKDIR/svckill.txt" 2>"$WORKDIR/svckill.err"
-if ! diff "$WORKDIR/localkill.txt" "$WORKDIR/svckill.txt"; then
-    echo "grid-smoke: FAIL — service-mode results differ from local run after peer+worker SIGKILL"
-    cat "$WORKDIR/svckill.err"
-    exit 1
-fi
-SVC_FAILED_OVER=$(failed_over "$PORTC")
-if [ "$SVC_FAILED_OVER" -lt 1 ]; then
-    echo "grid-smoke: FAIL — no job failed over from D to C (client submissions on C = $SVC_FAILED_OVER)"
-    exit 1
-fi
-UPS=$("$WORKDIR/helperd" metrics -server "127.0.0.1:$PORTC" 2>/dev/null | grep -o '"scale_ups": [0-9]*' | grep -o '[0-9]*')
-if [ "${UPS:-0}" -lt 2 ]; then
-    echo "grid-smoke: FAIL — autoscaler never churned (scale_ups=${UPS:-0}, want >= 2: floor + respawn/spike)"
-    cat "$WORKDIR/svcC.log"
-    exit 1
-fi
-echo "grid-smoke: autoscaled fleet survived peer+worker SIGKILL, identical results (scale_ups=$UPS, $SVC_FAILED_OVER jobs failed over)"
-
-echo "grid-smoke: tenant bob overdraws his rate limit (expect 429 + client retry)"
-"$WORKDIR/sweep" $STUDY -grid "127.0.0.1:$PORTC" -grid-client bob > "$WORKDIR/bob1.txt" 2>/dev/null &
-BOB1_PID=$!
-"$WORKDIR/sweep" $STUDY -grid "127.0.0.1:$PORTC" -grid-client bob > "$WORKDIR/bob2.txt" 2>/dev/null
-wait "$BOB1_PID"
-diff "$WORKDIR/local.txt" "$WORKDIR/bob1.txt" >/dev/null || {
-    echo "grid-smoke: FAIL — metered tenant's results differ from local run"; exit 1; }
-diff "$WORKDIR/bob1.txt" "$WORKDIR/bob2.txt" >/dev/null || {
-    echo "grid-smoke: FAIL — metered tenant's rerun drifted"; exit 1; }
-REJECTED=$("$WORKDIR/helperd" metrics -server "127.0.0.1:$PORTC" | grep -o '"rejected": [0-9]*' | grep -o '[0-9]*')
-if [ "${REJECTED:-0}" -lt 1 ]; then
-    echo "grid-smoke: FAIL — rate limit never bit (rejected=${REJECTED:-0}); quotas are not enforced"
-    exit 1
-fi
-echo "grid-smoke: quota enforced and retried through (rejected=$REJECTED), results byte-identical"
-
 # --- observability: trace span trees, spill, top ---------------------------
 # A fresh traced server + worker run the small study twice and `helperd
 # trace` must reconstruct a complete span tree for (a) a job that ran
@@ -471,5 +403,22 @@ fi
     echo "grid-smoke: FAIL — wrong-secret peer made it into the membership"
     exit 1; }
 echo "grid-smoke: wrong-secret peer refused ($REJECTED_AUTH rejects), membership unchanged"
+
+# --- no leaked processes ----------------------------------------------------
+# Every process the legs start runs a binary from $WORKDIR. Once cleanup
+# has stopped and reaped them, none may remain: a survivor is a process
+# something spawned and never reaped.
+trap - EXIT INT TERM
+cleanup
+LEAKED=$(pgrep -f "$WORKDIR/" || true)
+if [ -n "$LEAKED" ]; then
+    echo "grid-smoke: FAIL — processes still running after cleanup:"
+    for pid in $LEAKED; do
+        ps -o pid=,args= -p "$pid" || true
+        kill -9 "$pid" 2>/dev/null || true
+    done
+    exit 1
+fi
+echo "grid-smoke: no leaked processes"
 
 echo "grid-smoke: PASS"
