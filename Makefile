@@ -20,7 +20,7 @@ test:
 # of check).
 .PHONY: race
 race:
-	$(GO) test -race . ./internal/parallel ./internal/experiments ./internal/grid
+	$(GO) test -race . ./internal/parallel ./internal/experiments ./internal/grid ./internal/synth
 
 # End-to-end smoke test of the distributed grid: 1 job server + 2 worker
 # processes + `sweep -grid`, asserting byte-identical results vs the
@@ -96,14 +96,16 @@ bench-json:
 # $(BENCH_MAX_ALLOC_REGRESS_PCT)% over the committed baseline on any
 # benchmark, and the hot-loop ablation benchmarks additionally carry the
 # explicit $(BENCH_ALLOC_BUDGETS) ceilings — the zero-steady-state-alloc
-# core keeps them at a few hundred allocs per op (per-job construction:
+# core keeps them at a few dozen allocs per op (per-job construction:
 # the workload stream and the policy clone), so a return of per-tick
 # garbage (tens of thousands per op) fails even if BENCH_core.json were
-# refreshed past it.
+# refreshed past it. BenchmarkFig14Suite's ceiling holds the shared
+# synthetic programs in place: ~23k allocs/op with one program per
+# workload, 561k when every stream built its own.
 BENCH_MAX_REGRESS_PCT ?= 10
 BENCH_OVERHEAD_BUDGET_PCT ?= 5
 BENCH_MAX_ALLOC_REGRESS_PCT ?= 10
-BENCH_ALLOC_BUDGETS ?= BenchmarkAblationClockRatio=2500,BenchmarkAblationConfidence=2500,BenchmarkAblationHelperWidth=2500,BenchmarkAblationSplitMode=2500
+BENCH_ALLOC_BUDGETS ?= BenchmarkAblationClockRatio=2500,BenchmarkAblationConfidence=2500,BenchmarkAblationHelperWidth=2500,BenchmarkAblationSplitMode=2500,BenchmarkFig14Suite=30000
 .PHONY: bench-check
 bench-check:
 	GO="$(GO)" BENCH_MAX_REGRESS_PCT=$(BENCH_MAX_REGRESS_PCT) \
@@ -123,9 +125,11 @@ bench-profile:
 	@rm -f bench-profile.test
 	@echo "wrote cpu.pprof and mem.pprof — inspect with: $(GO) tool pprof -top cpu.pprof"
 
-# The zero-alloc steady-state gate on its own (it also runs in `make
-# test`): once warm, the measured phase of the simulator core must not
-# allocate at all.
+# The allocation gates on their own (they also run in `make test`): once
+# warm, the measured phase of the simulator core must not allocate at
+# all, and the synth layer keeps a stream of a live program and a cold
+# program build under their allocation ceilings.
 .PHONY: alloc-gate
 alloc-gate:
 	$(GO) test -run TestSteadyStateZeroAllocs -count=1 ./internal/core
+	$(GO) test -run TestSynthAllocs -count=1 ./internal/synth

@@ -23,6 +23,13 @@
 //     baseline (so an accidental baseline refresh cannot ratchet the
 //     hot-loop benchmarks' allocation budget upward silently).
 //
+// Absolute ns/op is compared only when both summaries carry the same host
+// fingerprint (CPU model and GOMAXPROCS, recorded by benchjson). Across
+// hosts the ns/op gate is skipped with a note; allocs/op, bytes/op and the
+// *_overhead_pct ratios do not depend on the machine and stay gated. A
+// different Go version or OS/arch on the same host is only noted: timing
+// a toolchain change is like timing a code change.
+//
 // Suite-drift normalization: raw ns/op does not compare across machine
 // states — a busy host, a different CPU, or frequency scaling shifts the
 // whole suite together by far more than any gate tolerates. A real
@@ -65,6 +72,8 @@ import (
 // summary mirrors the benchjson output fields the gate reads.
 type summary struct {
 	GoVersion  string  `json:"go_version"`
+	CPU        string  `json:"cpu"`
+	GOMAXPROCS int     `json:"gomaxprocs"`
 	GOOS       string  `json:"goos"`
 	GOARCH     string  `json:"goarch"`
 	Benchmarks []bench `json:"benchmarks"`
@@ -150,8 +159,21 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "benchcheck: OK — %d benchmarks within %.0f%%, overheads within %.0f%%\n",
-		len(fresh.Benchmarks), *maxRegress, *budget)
+	timing := fmt.Sprintf("within %.0f%%", *maxRegress)
+	if base.host() != fresh.host() {
+		timing = "(ns/op not compared across hosts)"
+	}
+	fmt.Fprintf(os.Stderr, "benchcheck: OK — %d benchmarks %s, overheads within %.0f%%\n",
+		len(fresh.Benchmarks), timing, *budget)
+}
+
+// host is the fingerprint absolute timings are comparable within.
+func (s summary) host() string {
+	cpu := s.CPU
+	if cpu == "" {
+		cpu = "unknown CPU"
+	}
+	return fmt.Sprintf("%s, GOMAXPROCS=%d", cpu, s.GOMAXPROCS)
 }
 
 // mergeMin folds a focused-rerun summary into the full sweep: per
@@ -233,10 +255,15 @@ func suiteDrift(base, fresh summary) (float64, string) {
 func compareAt(base, fresh summary, drift float64, driftNote string, maxRegress, budget float64) (failures, notes, regressed []string) {
 	if base.GoVersion != fresh.GoVersion || base.GOOS != fresh.GOOS || base.GOARCH != fresh.GOARCH {
 		notes = append(notes, fmt.Sprintf(
-			"environment drift: baseline %s %s/%s vs fresh %s %s/%s (timings compare across it)",
+			"environment drift: baseline %s %s/%s vs fresh %s %s/%s (timings compare across it on one host)",
 			base.GoVersion, base.GOOS, base.GOARCH, fresh.GoVersion, fresh.GOOS, fresh.GOARCH))
 	}
-	if driftNote != "" {
+	sameHost := base.host() == fresh.host()
+	if !sameHost {
+		notes = append(notes, fmt.Sprintf(
+			"host fingerprint differs: baseline %q vs fresh %q — absolute ns/op not compared; allocs/op, bytes/op and overhead ratios still gated",
+			base.host(), fresh.host()))
+	} else if driftNote != "" {
 		notes = append(notes, driftNote)
 	}
 
@@ -251,6 +278,9 @@ func compareAt(base, fresh summary, drift float64, driftNote string, maxRegress,
 		bb, ok := known[b.Name]
 		if !ok {
 			notes = append(notes, fmt.Sprintf("new benchmark %s (no baseline; will gate once committed)", b.Name))
+			continue
+		}
+		if !sameHost {
 			continue
 		}
 		// Regressions measure against the worst floor the baseline's

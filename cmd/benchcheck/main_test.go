@@ -170,6 +170,43 @@ func TestCompareNotesOnly(t *testing.T) {
 	}
 }
 
+// TestCompareHostFingerprint: a baseline from another host (CPU model or
+// GOMAXPROCS) cannot judge absolute ns/op, so a 50% slower benchmark
+// passes with a note, while the machine-independent gates still bind.
+func TestCompareHostFingerprint(t *testing.T) {
+	base := mkSummary(pctPtr(3.0), abm("BenchmarkA", 100, 800, 100_000))
+	base.CPU, base.GOMAXPROCS = "Intel(R) Xeon(R) Processor", 2
+	for _, host := range []struct {
+		cpu   string
+		procs int
+	}{{"AMD EPYC 7763 64-Core Processor", 2}, {"Intel(R) Xeon(R) Processor", 4}, {"", 2}} {
+		fresh := mkSummary(pctPtr(5.7), abm("BenchmarkA", 150, 40_000, 100_000))
+		fresh.CPU, fresh.GOMAXPROCS = host.cpu, host.procs
+		failures, notes, regressed := compare(base, fresh, 10, 5)
+		if len(regressed) != 0 {
+			t.Errorf("%+v: ns/op compared across hosts: %v", host, regressed)
+		}
+		if len(failures) != 1 || !strings.Contains(failures[0], "phase_ucb_overhead_pct = 5.70%") {
+			t.Errorf("%+v: overhead budget must still bind across hosts: %v", host, failures)
+		}
+		if joined := strings.Join(notes, "\n"); !strings.Contains(joined, "host fingerprint differs") ||
+			!strings.Contains(joined, "absolute ns/op not compared") {
+			t.Errorf("%+v: skipped timing comparison not reported:\n%s", host, joined)
+		}
+		if failures, _ := compareAllocs(base, fresh, 10, nil); len(failures) != 1 ||
+			!strings.Contains(failures[0], "allocs/op grew") {
+			t.Errorf("%+v: alloc gate must still bind across hosts: %v", host, failures)
+		}
+	}
+
+	// The same host still gates ns/op.
+	same := mkSummary(pctPtr(3.0), abm("BenchmarkA", 150, 800, 100_000))
+	same.CPU, same.GOMAXPROCS = base.CPU, base.GOMAXPROCS
+	if _, _, regressed := compare(base, same, 10, 5); len(regressed) != 1 {
+		t.Errorf("a 50%% regression on the same host must fail: %v", regressed)
+	}
+}
+
 // abm builds a benchmark entry with an allocation profile.
 func abm(name string, min float64, allocs uint64, bytes float64) bench {
 	return bench{Name: name, NsPerOpMin: min, AllocsPerOp: allocs, BytesPerOp: bytes}

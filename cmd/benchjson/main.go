@@ -18,6 +18,11 @@
 // invocations captures that spread, and `benchcheck` gates fresh floors
 // against it instead of against one lucky draw.
 //
+// The summary carries the host fingerprint of the run: the CPU model from
+// `go test`'s "cpu:" header and the GOMAXPROCS its benchmark names end in
+// (no suffix means 1). `benchcheck` compares absolute ns/op only between
+// summaries with the same fingerprint.
+//
 // Usage:
 //
 //	go test -run '^$' -bench=. -benchmem -count=3 . | benchjson -o BENCH_core.json
@@ -38,9 +43,10 @@ import (
 )
 
 // benchLine matches one result line, e.g.
-// "BenchmarkFig03Detectors-8   123456   9.87 ns/op   16 B/op   2 allocs/op".
+// "BenchmarkFig03Detectors-8   123456   9.87 ns/op   16 B/op   2 allocs/op",
+// where -8 is the GOMAXPROCS the benchmark ran at.
 var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op)?(?:\s+(\d+) allocs/op)?`)
+	`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
 // overheadMetric matches BenchmarkPolicyOverhead's custom metric: the
 // dispatch-vs-static cost of the steering Policy interface, measured over
@@ -75,11 +81,14 @@ type sample struct {
 
 // Summary is the JSON document written for the perf trajectory.
 type Summary struct {
-	GeneratedAt string  `json:"generated_at"`
-	GoVersion   string  `json:"go_version"`
-	GOOS        string  `json:"goos"`
-	GOARCH      string  `json:"goarch"`
-	Benchmarks  []Bench `json:"benchmarks"`
+	GeneratedAt string `json:"generated_at"`
+	GoVersion   string `json:"go_version"`
+	// CPU and GOMAXPROCS fingerprint the host the benchmarks ran on.
+	CPU        string  `json:"cpu,omitempty"`
+	GOMAXPROCS int     `json:"gomaxprocs,omitempty"`
+	GOOS       string  `json:"goos"`
+	GOARCH     string  `json:"goarch"`
+	Benchmarks []Bench `json:"benchmarks"`
 	// PolicyOverheadPct is the interface-dispatch cost of the steering
 	// Policy refactor in percent: the minimum of BenchmarkPolicyOverhead's
 	// overhead-pct metric over the -count runs (noise only inflates the
@@ -125,6 +134,8 @@ func main() {
 	var overheads, phaseOverheads, gridOverheads []float64
 	invocation := 0
 	sawBench := false
+	var cpu string
+	gomaxprocs := 0
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -135,6 +146,10 @@ func main() {
 				invocation++
 				sawBench = false
 			}
+			continue
+		}
+		if model, ok := strings.CutPrefix(sc.Text(), "cpu: "); ok {
+			cpu = strings.TrimSpace(model)
 			continue
 		}
 		if gm := gridOverheadMetric.FindStringSubmatch(sc.Text()); gm != nil {
@@ -154,14 +169,18 @@ func main() {
 		if m == nil {
 			continue
 		}
-		var s sample
-		s.iterations, _ = strconv.ParseUint(m[2], 10, 64)
-		s.nsPerOp, _ = strconv.ParseFloat(m[3], 64)
-		if m[4] != "" {
-			s.bytesPerOp, _ = strconv.ParseFloat(m[4], 64)
+		gomaxprocs = 1
+		if m[2] != "" {
+			gomaxprocs, _ = strconv.Atoi(m[2])
 		}
+		var s sample
+		s.iterations, _ = strconv.ParseUint(m[3], 10, 64)
+		s.nsPerOp, _ = strconv.ParseFloat(m[4], 64)
 		if m[5] != "" {
-			s.allocsPerOp, _ = strconv.ParseUint(m[5], 10, 64)
+			s.bytesPerOp, _ = strconv.ParseFloat(m[5], 64)
+		}
+		if m[6] != "" {
+			s.allocsPerOp, _ = strconv.ParseUint(m[6], 10, 64)
 		}
 		s.invocation = invocation
 		sawBench = true
@@ -177,6 +196,8 @@ func main() {
 	sum := Summary{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		GoVersion:   runtime.Version(),
+		CPU:         cpu,
+		GOMAXPROCS:  gomaxprocs,
 		GOOS:        runtime.GOOS,
 		GOARCH:      runtime.GOARCH,
 	}

@@ -14,7 +14,9 @@ const maxLoopIters = 1 << 20
 
 // Stream is an infinite, deterministic uop stream: the functional execution
 // of one synthetic program. It implements the trace source consumed by the
-// timing simulator and the trace analyses.
+// timing simulator and the trace analyses. The program is shared with every
+// other stream of the same Params; the value rng, the memory overlay and
+// the loop guards are the stream's own.
 type Stream struct {
 	params Params
 	prog   *program
@@ -30,12 +32,17 @@ type Stream struct {
 	staticUops int
 }
 
-// NewStream validates p, generates the program and prepares the executor.
+// NewStream validates p, takes p's program (building it only if no live
+// stream already has it) and prepares the executor.
 func NewStream(p Params) (*Stream, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	prog := buildProgram(p)
+	return newStream(p, sharedProgram(p)), nil
+}
+
+// newStream prepares an executor over prog, which was built from p.
+func newStream(p Params, prog *program) *Stream {
 	s := &Stream{
 		params:   p,
 		prog:     prog,
@@ -56,7 +63,7 @@ func NewStream(p Params) (*Stream, error) {
 		s.fp[i] = 0x3F800000 + uint32(i)
 	}
 	s.staticUops = len(prog.uops)
-	return s, nil
+	return s
 }
 
 // MustNewStream is NewStream for known-good parameters (tests, examples).
@@ -145,7 +152,7 @@ func (s *Stream) Next(u *isa.Uop) {
 		addr := base + off
 		u.MemAddr = addr
 		u.MemSize = su.memSize
-		v := s.mem.load(addr, su.region, su.memSize)
+		v := s.mem.load(addr, int(su.region), su.memSize)
 		u.DstVal = v
 		s.regs[su.dstReg] = v
 	case isa.ClassStore:
@@ -173,15 +180,15 @@ func (s *Stream) Next(u *isa.Uop) {
 			}
 		}
 		u.Taken = taken
-		u.Target = pcOf(su.takenTarget)
+		u.Target = pcOf(int(su.takenTarget))
 		if taken {
-			next = su.takenTarget
+			next = int(su.takenTarget)
 		}
 	case isa.ClassJump:
 		u.Taken = true
-		u.Target = pcOf(su.takenTarget)
+		u.Target = pcOf(int(su.takenTarget))
 		u.FrontendResolvable = su.frontendRes
-		next = su.takenTarget
+		next = int(su.takenTarget)
 	}
 
 	s.idx = next
@@ -238,6 +245,6 @@ func evalCond(c cond, flags uint32) bool {
 }
 
 // wrapMask returns the offset mask for a region's working set.
-func (p *program) wrapMask(region int) uint32 {
+func (p *program) wrapMask(region uint8) uint32 {
 	return (1 << p.regionShift[region]) - 1
 }

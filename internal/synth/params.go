@@ -86,7 +86,9 @@ func DefaultParams() Params {
 	}
 }
 
-// Validate reports the first structural problem with the parameters.
+// Validate reports the first structural problem with the parameters. The
+// range checks are written to reject NaN, so valid Params always equal
+// themselves (NewStream keys its program map by them).
 func (p Params) Validate() error {
 	switch {
 	case p.Segments < 1:
@@ -99,7 +101,7 @@ func (p Params) Validate() error {
 		return fmt.Errorf("synth: WorkingSet must be >= 1KiB, got %d", p.WorkingSet)
 	case p.StrideBytes < 1:
 		return fmt.Errorf("synth: StrideBytes must be >= 1, got %d", p.StrideBytes)
-	case p.DepRecency <= 0 || p.DepRecency > 1:
+	case !(p.DepRecency > 0 && p.DepRecency <= 1):
 		return fmt.Errorf("synth: DepRecency must be in (0,1], got %g", p.DepRecency)
 	}
 	for _, f := range []struct {
@@ -113,7 +115,7 @@ func (p Params) Validate() error {
 		{"ByteDataFrac", p.ByteDataFrac}, {"NarrowOffsetFrac", p.NarrowOffsetFrac},
 		{"AddrUseFrac", p.AddrUseFrac},
 	} {
-		if f.v < 0 || f.v > 1 {
+		if !(f.v >= 0 && f.v <= 1) {
 			return fmt.Errorf("synth: %s must be in [0,1], got %g", f.name, f.v)
 		}
 	}

@@ -34,6 +34,9 @@ var (
 	widePool   = []uint8{9, 15}
 )
 
+// aluOps are the operations of a plain two-source or reg+imm ALU uop.
+var aluOps = []isa.ALUOp{isa.OpAdd, isa.OpSub, isa.OpAnd, isa.OpOr, isa.OpXor, isa.OpShl, isa.OpShr, isa.OpInc, isa.OpNot}
+
 // numRegions is the number of synthetic memory regions (byte array, word
 // array, pointer array, stack-like).
 const numRegions = 4
@@ -62,7 +65,8 @@ const (
 	condSign // taken when the flags value has the sign bit set
 )
 
-// staticUop is one instruction of the generated program.
+// staticUop is one instruction of the generated program. The narrow
+// field types keep it at 32 bytes: the uops are the bulk of a program.
 type staticUop struct {
 	pc    uint32
 	class isa.Class
@@ -78,13 +82,13 @@ type staticUop struct {
 	role          role
 	narrowPersona bool // for roleConst: narrow vs wide width persona
 
-	region  int // memory region index for loads/stores
+	region  uint8 // memory region index for loads/stores
 	memSize uint8
 
 	cond        cond
-	takenTarget int  // static index of the taken successor
-	isBackward  bool // loop-bottom backward branch
-	frontendRes bool // EIP+immediate branch resolvable in the frontend (§3.3)
+	takenTarget int32 // static index of the taken successor
+	isBackward  bool  // loop-bottom backward branch
+	frontendRes bool  // EIP+immediate branch resolvable in the frontend (§3.3)
 
 	// implicitWide marks uops with an implicit wide context operand in
 	// the IA-32 internal machine state (§3.2); they cannot satisfy the
@@ -94,7 +98,8 @@ type staticUop struct {
 
 // program is a generated synthetic program: a CFG flattened into a static
 // uop sequence where branches carry explicit taken targets and the final
-// jump wraps back to index 0.
+// jump wraps back to index 0. Nothing writes a program after buildProgram
+// returns, so all streams of one Params share it (see sharedProgram).
 type program struct {
 	params Params
 	uops   []staticUop
@@ -110,7 +115,10 @@ func pcOf(i int) uint32 { return codeBase + uint32(i)*4 }
 // program shape does not perturb value draws).
 func buildProgram(p Params) *program {
 	rng := rand.New(rand.NewSource(p.Seed ^ 0x5E3779B97F4A7C15))
-	prog := &program{params: p}
+	// A program averages ~1.8 uops per Segments×BlockSize (loop overhead
+	// and nesting). This capacity holds all but the most loop-heavy: 2 of
+	// the 424 workload profiles regrow it once.
+	prog := &program{params: p, uops: make([]staticUop, 0, p.Segments*(2*p.BlockSize+8)+1)}
 
 	// Split the working set across regions; the byte-array region gets a
 	// quarter, rounded to powers of two (cheap masking, realistic enough).
@@ -123,7 +131,8 @@ func buildProgram(p Params) *program {
 		prog.regionShift[i] = shift
 	}
 
-	b := &builder{p: p, rng: rng, prog: prog, curCtr: isa.RegNone}
+	// blockLen never reaches 2×BlockSize, so the plan never regrows.
+	b := &builder{p: p, rng: rng, prog: prog, curCtr: isa.RegNone, plan: make([]planKind, 0, 2*p.BlockSize)}
 	for s := 0; s < p.Segments; s++ {
 		r := rng.Float64()
 		switch {
@@ -158,9 +167,11 @@ type builder struct {
 	// per width class so ALU sources wire to recent same-width
 	// producers, controlling both the producer-consumer distance
 	// distribution (Figure 13) and chain width homogeneity.
-	recentNarrow []uint8
-	recentWide   []uint8
-	loopDepth    int
+	recentNarrow recentRegs
+	recentWide   recentRegs
+	// plan is emitBlock's scratch, reused across the program's blocks.
+	plan      []planKind
+	loopDepth int
 	// curCtr is the counter register of the innermost enclosing loop, or
 	// isa.RegNone outside of loops. Memory offsets reference it so the
 	// classic "narrow index into an array" pattern is real dataflow.
@@ -169,6 +180,34 @@ type builder struct {
 	// implicit wide context operands.
 	blockImplicitWide bool
 }
+
+// recentRegs lists the last few registers written in one width class,
+// oldest first.
+type recentRegs struct {
+	regs [6]uint8
+	n    int
+}
+
+func (r *recentRegs) push(reg uint8) {
+	if r.n == len(r.regs) {
+		copy(r.regs[:], r.regs[1:])
+		r.n--
+	}
+	r.regs[r.n] = reg
+	r.n++
+}
+
+// planKind is one entry of a block's instruction plan.
+type planKind uint8
+
+const (
+	planLoad planKind = iota
+	planStore
+	planMul
+	planDiv
+	planFP
+	planALU
+)
 
 func (b *builder) append(u staticUop) int {
 	b.prog.uops = append(b.prog.uops, u)
@@ -191,7 +230,7 @@ func pool(narrow bool) []uint8 {
 	return widePool
 }
 
-func (b *builder) recent(narrow bool) *[]uint8 {
+func (b *builder) recent(narrow bool) *recentRegs {
 	if narrow {
 		return &b.recentNarrow
 	}
@@ -205,12 +244,12 @@ func (b *builder) pickDataReg(narrow bool) uint8 {
 	if b.rng.Float64() < 0.12 {
 		narrow = !narrow
 	}
-	if rec := *b.recent(narrow); len(rec) > 0 {
-		idx := len(rec) - 1
+	if rec := b.recent(narrow); rec.n > 0 {
+		idx := rec.n - 1
 		for idx > 0 && b.rng.Float64() > b.p.DepRecency {
 			idx--
 		}
-		return rec[idx]
+		return rec.regs[idx]
 	}
 	pl := pool(narrow)
 	return pl[b.rng.Intn(len(pl))]
@@ -219,11 +258,7 @@ func (b *builder) pickDataReg(narrow bool) uint8 {
 func (b *builder) freshDataReg(narrow bool) uint8 {
 	pl := pool(narrow)
 	r := pl[b.rng.Intn(len(pl))]
-	rec := b.recent(narrow)
-	*rec = append(*rec, r)
-	if len(*rec) > 6 {
-		*rec = (*rec)[1:]
-	}
+	b.recent(narrow).push(r)
 	return r
 }
 
@@ -281,25 +316,34 @@ func (b *builder) emitBlock(n int) {
 		}
 		return c
 	}
-	type emitter func()
-	var plan []emitter
-	addN := func(k int, f emitter) {
-		for i := 0; i < k && len(plan) < n; i++ {
-			plan = append(plan, f)
+	plan := b.plan[:0]
+	// Indexed by planKind: the counts are drawn in this order.
+	for kind, frac := range [...]float64{p.FracLoad, p.FracStore, p.FracMul, p.FracDiv, p.FracFP} {
+		for k := count(frac); k > 0 && len(plan) < n; k-- {
+			plan = append(plan, planKind(kind))
 		}
 	}
-	addN(count(p.FracLoad), b.emitLoad)
-	addN(count(p.FracStore), b.emitStore)
-	addN(count(p.FracMul), func() { b.emitMulDiv(isa.ClassMul) })
-	addN(count(p.FracDiv), func() { b.emitMulDiv(isa.ClassDiv) })
-	addN(count(p.FracFP), b.emitFP)
 	for len(plan) < n {
-		plan = append(plan, b.emitALU)
+		plan = append(plan, planALU)
 	}
 	b.rng.Shuffle(len(plan), func(i, j int) { plan[i], plan[j] = plan[j], plan[i] })
-	for _, emit := range plan {
-		emit()
+	for _, kind := range plan {
+		switch kind {
+		case planLoad:
+			b.emitLoad()
+		case planStore:
+			b.emitStore()
+		case planMul:
+			b.emitMulDiv(isa.ClassMul)
+		case planDiv:
+			b.emitMulDiv(isa.ClassDiv)
+		case planFP:
+			b.emitFP()
+		default:
+			b.emitALU()
+		}
 	}
+	b.plan = plan
 }
 
 func (b *builder) emitLoad() {
@@ -317,7 +361,7 @@ func (b *builder) emitLoad() {
 		op:      isa.OpLea,
 		nsrc:    2,
 		dstReg:  b.freshDataReg(narrowDst),
-		region:  region,
+		region:  uint8(region),
 		memSize: size,
 	}
 	u.srcReg[0] = uint8(regBase0 + region)
@@ -337,7 +381,7 @@ func (b *builder) emitStore() {
 		op:      isa.OpLea,
 		nsrc:    3,
 		dstReg:  isa.RegNone,
-		region:  region,
+		region:  uint8(region),
 		memSize: size,
 	}
 	u.srcReg[0] = uint8(regBase0 + region)
@@ -403,14 +447,13 @@ func (b *builder) emitALU() {
 			hasImm: true,
 			imm:    uint32(b.p.StrideBytes),
 			role:   roleStride,
-			region: b.rng.Intn(numRegions),
+			region: uint8(b.rng.Intn(numRegions)),
 		}
 		u.srcReg[0] = sr
 		u.srcReg[1], u.srcReg[2] = isa.RegNone, isa.RegNone
 		b.append(u)
 	default: // two-source or reg+imm ALU operation within a width clique
-		ops := []isa.ALUOp{isa.OpAdd, isa.OpSub, isa.OpAnd, isa.OpOr, isa.OpXor, isa.OpShl, isa.OpShr, isa.OpInc, isa.OpNot}
-		op := ops[b.rng.Intn(len(ops))]
+		op := aluOps[b.rng.Intn(len(aluOps))]
 		u := staticUop{
 			class:        isa.ClassALU,
 			op:           op,
@@ -504,7 +547,7 @@ func (b *builder) emitLoop(segIdx int) {
 		nsrc:        1,
 		dstReg:      isa.RegNone,
 		cond:        condNotZero,
-		takenTarget: head,
+		takenTarget: int32(head),
 		isBackward:  true,
 		frontendRes: true,
 	}
@@ -537,5 +580,5 @@ func (b *builder) emitDiamond() {
 	b.prog.uops[brIdx].srcReg[2] = isa.RegNone
 
 	b.emitBlock(b.blockLen() / 2) // skipped when the branch is taken
-	b.prog.uops[brIdx].takenTarget = len(b.prog.uops)
+	b.prog.uops[brIdx].takenTarget = int32(len(b.prog.uops))
 }

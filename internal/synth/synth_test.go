@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -25,6 +26,8 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.NarrowDataFrac = 1.2 },
 		func(p *Params) { p.FracLoad, p.FracStore = 0.6, 0.5 },
 		func(p *Params) { p.LoopFrac, p.DiamondFrac = 0.7, 0.7 },
+		func(p *Params) { p.DepRecency = math.NaN() },
+		func(p *Params) { p.WidthLocality = math.NaN() },
 	}
 	for i, mut := range mutations {
 		p := good
