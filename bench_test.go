@@ -446,6 +446,10 @@ func BenchmarkPhaseUCBOverhead(b *testing.B) {
 // store and the full dispatch path is exercised. The headline number is
 // the grid-dispatch-overhead-pct metric; cmd/benchjson lifts it into
 // BENCH_core.json as grid_dispatch_overhead_pct.
+// One job at a time keeps the worker's only slot free whenever a lease
+// is asked for, so this benchmark cannot see how fast a busy worker
+// refills a freed slot: it read -7.4% while a 20 ms poll left the batch
+// path's slots idle 69% of the time. BenchmarkGridBatch covers that.
 func BenchmarkGridDispatchOverhead(b *testing.B) {
 	w, _ := WorkloadByName("gcc")
 	srv := grid.NewServer()
@@ -490,6 +494,58 @@ func BenchmarkGridDispatchOverhead(b *testing.B) {
 	b.ReportMetric(float64(tLocal.Nanoseconds())/float64(b.N), "local-ns/job")
 	b.ReportMetric(float64(tGrid.Nanoseconds())/float64(b.N), "grid-ns/job")
 	b.ReportMetric((float64(tGrid)/float64(tLocal)-1)*100, "grid-dispatch-overhead-pct")
+}
+
+// BenchmarkGridBatch pushes a batch of short jobs through the grid: 48
+// ladder jobs (6 SPEC apps x baseline + 7 rungs, 5k measured uops)
+// through WithGrid to an in-process server and one two-slot worker. The
+// jobs run for a few ms each, so the fabric's per-job latency — above
+// all how soon a worker refills a freed slot — dominates the batch
+// time. Every job is uniquely named so it misses the result store.
+// ns/op is one whole batch (the figure bench-check gates); jobs/s is
+// the same number as throughput.
+func BenchmarkGridBatch(b *testing.B) {
+	srv := grid.NewServer()
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	worker := &grid.Worker{Server: ts.URL, Exec: NewRunner().JobExec(), Parallel: 2,
+		LeaseWait: 200 * time.Millisecond, Name: "bench-batch"}
+	wctx, wcancel := context.WithCancel(context.Background())
+	workerDone := make(chan struct{})
+	go func() {
+		defer close(workerDone)
+		worker.Run(wctx)
+	}()
+	defer func() {
+		wcancel()
+		<-workerDone
+	}()
+	remote := NewRunner(WithGrid(ts.URL))
+
+	var jobs []Job
+	for _, w := range SpecInt2000()[:6] {
+		jobs = append(jobs, Job{Config: BaselineConfig(), Policy: PolicyBaseline(),
+			Workload: w, N: 5_000, Warmup: 1_250})
+		for _, pol := range PolicyLadder() {
+			jobs = append(jobs, Job{Policy: pol, Workload: w, N: 5_000, Warmup: 1_250})
+		}
+	}
+	if len(jobs) != 48 {
+		b.Fatalf("%d batch jobs, want 48", len(jobs))
+	}
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range jobs {
+			jobs[k].Name = fmt.Sprintf("batch-%d-%d", i, k)
+		}
+		if _, err := remote.RunAll(ctx, jobs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(jobs)*b.N)/b.Elapsed().Seconds(), "jobs/s")
 }
 
 // BenchmarkSynthThroughput measures trace generation speed.

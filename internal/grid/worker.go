@@ -20,6 +20,10 @@ import (
 // on a bounded local pool. Spawn one in-process (go w.Run(ctx)) for tests
 // and examples, or as its own OS process via `helperd work`. Configure
 // the fields before calling Run; they must not change afterwards.
+//
+// Held leases are renewed by a heartbeat every TTL/3 (the TTL learned
+// from lease responses), plus one extra beat whenever a lease response
+// reports a shorter TTL than the one the heartbeat timer was armed with.
 type Worker struct {
 	// Server is the job server address (BaseURL rules apply).
 	Server string
@@ -34,7 +38,9 @@ type Worker struct {
 	ExecProgress ProgressExecFunc
 	// Parallel bounds concurrent task executions; < 1 means GOMAXPROCS.
 	// It is also the capacity the worker reports, which caps how many
-	// leases the server grants it — the load-balancing signal.
+	// leases the server grants it — the load-balancing signal. A slot is
+	// refilled as soon as its task finishes: the lease loop wakes on the
+	// freed slot, not on a timer.
 	Parallel int
 	// LeaseWait is the long-poll patience per lease request (default 2s).
 	LeaseWait time.Duration
@@ -43,7 +49,8 @@ type Worker struct {
 
 	base     string
 	leaseTTL atomic.Int64  // ms, learned from lease responses
-	hbWake   chan struct{} // nudges the heartbeat loop after a grant
+	hbWake   chan struct{} // nudges the heartbeat loop when the TTL shrinks
+	slotFree chan struct{} // signalled by runTask when a slot frees up
 	nameOnce sync.Once     // guards the host-pid default for Name
 
 	// Graceful drain: drainCh is closed by Drain; Run then stops taking
@@ -108,6 +115,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	w.cancels = map[string]context.CancelFunc{}
 	w.progress = map[string]TaskProgress{}
 	w.hbWake = make(chan struct{}, 1)
+	w.slotFree = make(chan struct{}, 1)
 	// Assume a short TTL until the first lease response teaches the real
 	// one: over-beating briefly is cheap, missing a short-TTL server's
 	// deadline loses leases.
@@ -157,8 +165,8 @@ func (w *Worker) Run(ctx context.Context) error {
 			case <-timer.C:
 				w.heartbeat(ctx)
 			case <-w.hbWake:
-				// A lease was just granted (possibly with a shorter TTL
-				// than assumed): renew immediately rather than risk the
+				// The server reported a shorter TTL than this timer was
+				// armed with: renew immediately rather than risk the
 				// scheduled beat landing past the new deadline.
 				timer.Stop()
 				w.heartbeat(ctx)
@@ -183,12 +191,12 @@ func (w *Worker) Run(ctx context.Context) error {
 	backoff := 100 * time.Millisecond
 lease:
 	for ctx.Err() == nil && !w.draining() {
-		free := par - int(w.inFlight.Load())
-		if free <= 0 {
-			// All slots busy: nothing to ask for. The next completion
-			// frees a slot within one short sleep.
-			if !sleepCtx(ctx, 20*time.Millisecond) {
-				break
+		if int(w.inFlight.Load()) >= par {
+			// All slots busy: nothing to ask for until runTask frees one.
+			select {
+			case <-w.slotFree:
+			case <-ctx.Done():
+			case <-w.drainChan():
 			}
 			continue
 		}
@@ -206,10 +214,9 @@ lease:
 			continue
 		}
 		backoff = 100 * time.Millisecond
-		if resp.LeaseMS > 0 {
-			w.leaseTTL.Store(resp.LeaseMS)
-		}
-		if len(resp.Tasks) > 0 {
+		// A fresh grant carries a full TTL, so the heartbeat needs a nudge
+		// only when the TTL shrank below what its timer was armed with.
+		if resp.LeaseMS > 0 && w.leaseTTL.Swap(resp.LeaseMS) > resp.LeaseMS {
 			select {
 			case w.hbWake <- struct{}{}:
 			default:
@@ -271,6 +278,10 @@ func (w *Worker) runTask(ctx context.Context, t Task) completion {
 		w.mu.Unlock()
 		cancel()
 		w.inFlight.Add(-1)
+		select {
+		case w.slotFree <- struct{}{}:
+		default:
+		}
 	}()
 	var result []byte
 	var err error
